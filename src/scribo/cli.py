@@ -230,13 +230,6 @@ def cmd_bench(args) -> int:
 # Corpus commands
 
 
-def _resolve_audio(base: Path, filepath: str) -> Path:
-    for candidate in (base / filepath, base / "clips" / filepath):
-        if candidate.exists():
-            return candidate
-    raise ScriboError(f"cannot find audio {filepath!r} under {base}")
-
-
 def cmd_corpus_convert(args) -> int:
     src = Path(args.src)
     out = Path(args.out)
@@ -248,7 +241,7 @@ def cmd_corpus_convert(args) -> int:
         rel = str(Path(item.filepath).with_suffix(".wav"))
         dst = out / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        duration = corpus_mod.convert_audio(_resolve_audio(base, item.filepath), dst)
+        duration = corpus_mod.convert_audio(corpus_mod._audio_path(base, item.filepath), dst)
         return corpus_mod.DatasetItem(rel, item.text, duration, item.speaker)
 
     if args.workers > 1:

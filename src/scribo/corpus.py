@@ -9,18 +9,15 @@ the tab-separated manifest format used everywhere else in the package:
 
 with duration in seconds (3 decimals) and filepath relative to the
 manifest's directory. Remote downloading is deliberately absent; point
-the readers at local files or archives.
+the readers at local files.
 """
 from __future__ import annotations
 
 import logging
 import math
 import random
-import shutil
 import struct
-import tarfile
 import wave
-import zipfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +26,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
-from .errors import ArchiveError, AudioFormatError, DatasetError
+from .errors import AudioFormatError, DatasetError
 
 log = logging.getLogger(__name__)
 
@@ -78,40 +75,6 @@ class CleaningReport:
         for _, metric in self.excluded:
             counts[metric] += 1
         return counts
-
-
-# ---------------------------------------------------------------------------
-# Archives
-
-
-def _safe_members(names, archive: str):
-    for name in names:
-        p = Path(name)
-        if p.is_absolute() or ".." in p.parts:
-            raise ArchiveError(f"{archive}: refusing unsafe member path {name!r}")
-
-
-def extract_archive(path, dest_dir) -> Path:
-    """Extract a .zip / .tar.gz / .tgz archive under dest_dir."""
-    path = Path(path)
-    dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
-    name = path.name.lower()
-    try:
-        if name.endswith(".zip"):
-            with zipfile.ZipFile(path) as zf:
-                _safe_members(zf.namelist(), str(path))
-                zf.extractall(dest)
-        elif name.endswith((".tar.gz", ".tgz", ".tar")):
-            mode = "r:" if name.endswith(".tar") else "r:gz"
-            with tarfile.open(path, mode) as tf:
-                _safe_members(tf.getnames(), str(path))
-                tf.extractall(dest)
-        else:
-            raise ArchiveError(f"{path}: unsupported archive format")
-    except (zipfile.BadZipFile, tarfile.TarError, EOFError, OSError) as exc:
-        raise ArchiveError(f"{path}: cannot extract: {exc}") from exc
-    return dest
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +154,14 @@ _SPEAKER_COLS = ("client_id", "speaker")
 READ_FORMATS = ("commonvoice-tsv", "folder-txt", "manifest-csv")
 
 
+def _audio_path(base: Path, filepath: str) -> Path:
+    """``base/filepath``, or ``base/clips/filepath`` (the Common Voice
+    layout) when only that exists."""
+    path = base / filepath
+    clips = base / "clips" / filepath
+    return clips if not path.exists() and clips.exists() else path
+
+
 def _probe_or_zero(path: Path) -> float:
     try:
         return probe_duration(path)
@@ -221,12 +192,7 @@ def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
             if has_duration and (row.get("duration") or "").strip():
                 duration = float(row["duration"])
             else:
-                base = tsv_path.parent
-                candidate = next(
-                    (p for p in (base / filepath, base / "clips" / filepath) if p.exists()),
-                    None,
-                )
-                duration = _probe_or_zero(candidate) if candidate else 0.0
+                duration = _probe_or_zero(_audio_path(tsv_path.parent, filepath))
             speaker = (row.get(speaker_col) or "").strip() or None if speaker_col else None
             items.append(DatasetItem(filepath, text, duration, speaker))
     if skipped:
@@ -453,32 +419,23 @@ def split_dataset(items, fractions, seed: int = 0, by_key: str | None = None,
 _TSV_UNSAFE = str.maketrans({"\t": " ", "\n": " ", "\r": " "})
 
 
-def write_dataset(items, format_tag: str, out_dir, base_dir=None,
-                  name: str = "dataset") -> Path:
-    """Write items as a manifest, copying audio into out_dir if needed.
+def write_dataset(items, format_tag: str, out_dir, name: str = "dataset") -> Path:
+    """Write items as ``out_dir/<name>.tsv``.
 
     ``format_tag`` must be "manifest-csv" (the only writer). Item paths
-    are interpreted relative to ``base_dir`` (default: out_dir); when
-    base_dir is elsewhere, referenced audio files are copied into
-    out_dir under the same relative paths. Missing audio is an error.
-    Tabs and newlines inside text fields become single spaces.
+    are relative to out_dir, and missing audio is an error. Tabs and
+    newlines inside text fields become single spaces.
     """
     if format_tag != "manifest-csv":
         raise DatasetError(f"unknown output format {format_tag!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = Path(base_dir) if base_dir is not None else out_dir
 
     items = list(items)
     for item in items:
-        src = base / item.filepath
-        if not src.exists():
-            raise DatasetError(f"{src}: referenced audio does not exist")
-        if base != out_dir:
-            dst = out_dir / item.filepath
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            if not dst.exists():
-                shutil.copyfile(src, dst)
+        audio = out_dir / item.filepath
+        if not audio.exists():
+            raise DatasetError(f"{audio}: referenced audio does not exist")
 
     has_speaker = any(it.speaker is not None for it in items)
     header = ["duration", "filepath", "text"] + (["speaker"] if has_speaker else [])

@@ -11,7 +11,7 @@ lexicographic), so equal inputs give equal outputs at any beam width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,18 +78,6 @@ def greedy_decode(logits, alphabet: AlphabetSpec) -> str:
     path = np.argmax(logits, axis=1)
     labels = collapse(path.tolist(), alphabet.blank_index)
     return "".join(alphabet.symbols[i] for i in labels)
-
-
-def accumulate_logits(chunks) -> np.ndarray:
-    """Concatenate per-chunk logit matrices in arrival order."""
-    chunks = [np.asarray(c) for c in chunks]
-    if not chunks:
-        raise ValueError("no chunks to accumulate")
-    width = chunks[0].shape[1]
-    for i, c in enumerate(chunks):
-        if c.ndim != 2 or c.shape[1] != width:
-            raise ValueError(f"chunk {i} width {c.shape} != first chunk width {width}")
-    return np.concatenate(chunks, axis=0)
 
 
 def word_error_rate(reference: str, hypothesis: str) -> float:

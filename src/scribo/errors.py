@@ -18,10 +18,6 @@ class AudioFormatError(ScriboError):
     """Audio file cannot be decoded or does not match the required format."""
 
 
-class ArchiveError(ScriboError):
-    """Archive is corrupt or in an unsupported format."""
-
-
 class DatasetError(ScriboError):
     """Dataset layout or manifest problem."""
 

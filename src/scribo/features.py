@@ -127,12 +127,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
-    """Hz centers of the mel filters, equally spaced on the mel scale."""
-    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.mel_bins + 2)
-    return mel_to_hz(mels)[1:-1]
-
-
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """(mel_bins, fft_size//2 + 1) matrix of unit-peak triangles.
 

@@ -119,6 +119,9 @@ def quartznet15x5(vocab_size: int = 28, input_features: int = 64) -> NetConfig:
 # Layer plan: a flat description shared by forward, validation, counting
 
 
+_BN_PARTS = ("gamma", "beta", "mean", "var")
+
+
 @dataclass(frozen=True)
 class _Unit:
     """One conv with its optional BN, as named in the weight set."""
@@ -130,6 +133,20 @@ class _Unit:
     stride: int = 1
     dilation: int = 1
     separable: bool = True
+    head: bool = False
+
+    def parts(self, folded: bool = False) -> list[tuple[str, tuple[int, ...]]]:
+        """(tensor suffix, shape) pairs in storage order.
+
+        ``dw`` (separable units only) and ``pw``, then ``bias`` for the
+        output head or a folded unit, else the four ``bn.*`` vectors.
+        """
+        parts = [("pw", (self.in_channels, self.out_channels))]
+        if self.separable:
+            parts.insert(0, ("dw", (self.kernel, self.in_channels)))
+        if self.head or folded:
+            return parts + [("bias", (self.out_channels,))]
+        return parts + [(f"bn.{part}", (self.out_channels,)) for part in _BN_PARTS]
 
 
 def _plan(cfg: NetConfig):
@@ -139,8 +156,8 @@ def _plan(cfg: NetConfig):
     """
     pro = cfg.prologue
     ch = pro.channels
-    head = [_Unit("c1", pro.kernel, cfg.input_features, ch, pro.stride, pro.dilation,
-                  pro.separable)]
+    front = [_Unit("c1", pro.kernel, cfg.input_features, ch, pro.stride, pro.dilation,
+                   pro.separable)]
 
     blocks = []
     index = 0
@@ -164,13 +181,14 @@ def _plan(cfg: NetConfig):
                           spec.dilation, spec.separable))
         ch = spec.channels
     head_index = 2 + len(cfg.epilogue)
-    tail.append(_Unit(f"c{head_index}", 1, ch, cfg.vocab_size + 1, separable=False))
-    return head, blocks, tail
+    tail.append(_Unit(f"c{head_index}", 1, ch, cfg.vocab_size + 1, separable=False,
+                      head=True))
+    return front, blocks, tail
 
 
 def _all_units(cfg: NetConfig):
-    head, blocks, tail = _plan(cfg)
-    units = list(head)
+    front, blocks, tail = _plan(cfg)
+    units = list(front)
     for _, subs, res in blocks:
         units.extend(subs)
         if res is not None:
@@ -179,24 +197,10 @@ def _all_units(cfg: NetConfig):
     return units
 
 
-def _head_unit_name(cfg: NetConfig) -> str:
-    return f"c{2 + len(cfg.epilogue)}"
-
-
 def tensor_specs(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     """Expected tensor names and shapes for an unfolded weight set."""
-    specs: dict[str, tuple[int, ...]] = {}
-    head_name = _head_unit_name(cfg)
-    for u in _all_units(cfg):
-        if u.separable:
-            specs[f"{u.name}.dw"] = (u.kernel, u.in_channels)
-        specs[f"{u.name}.pw"] = (u.in_channels, u.out_channels)
-        if u.name == head_name:
-            specs[f"{u.name}.bias"] = (u.out_channels,)
-        else:
-            for part in ("gamma", "beta", "mean", "var"):
-                specs[f"{u.name}.bn.{part}"] = (u.out_channels,)
-    return specs
+    return {f"{u.name}.{suffix}": shape
+            for u in _all_units(cfg) for suffix, shape in u.parts()}
 
 
 def param_count(cfg: NetConfig) -> int:
@@ -205,14 +209,8 @@ def param_count(cfg: NetConfig) -> int:
     BN running statistics are buffers, not parameters, and are not
     counted.
     """
-    total = 0
-    head_name = _head_unit_name(cfg)
-    for u in _all_units(cfg):
-        if u.separable:
-            total += u.kernel * u.in_channels
-        total += u.in_channels * u.out_channels
-        total += u.out_channels if u.name == head_name else 2 * u.out_channels
-    return total
+    return sum(math.prod(shape) for u in _all_units(cfg) for suffix, shape in u.parts()
+               if suffix not in ("bn.mean", "bn.var"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +232,6 @@ class NetworkWeights:
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
 
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
-
     @property
     def folded(self) -> bool:
         return not any(n.endswith(".bn.gamma") for n in self.tensors)
@@ -250,35 +245,35 @@ def validate_weights(cfg: NetConfig, weights: NetworkWeights) -> None:
     positive.
     """
     seen = set()
-    head_name = _head_unit_name(cfg)
-
-    def need(name: str, shape: tuple[int, ...]):
-        if name not in weights:
-            raise WeightError(f"missing tensor {name!r}")
-        t = weights[name]
-        if tuple(t.shape) != shape:
-            raise WeightError(f"tensor {name!r} has shape {tuple(t.shape)}, expected {shape}")
-        seen.add(name)
-
     for u in _all_units(cfg):
-        if u.separable:
-            need(f"{u.name}.dw", (u.kernel, u.in_channels))
-        need(f"{u.name}.pw", (u.in_channels, u.out_channels))
-        if u.name == head_name:
-            need(f"{u.name}.bias", (u.out_channels,))
-        elif f"{u.name}.bn.gamma" in weights:
-            for part in ("gamma", "beta", "mean", "var"):
-                need(f"{u.name}.bn.{part}", (u.out_channels,))
-            if not np.all(weights[f"{u.name}.bn.var"] > 0):
-                raise WeightError(f"{u.name}.bn.var must be strictly positive")
-        elif f"{u.name}.bias" in weights:
-            need(f"{u.name}.bias", (u.out_channels,))
-        else:
-            raise WeightError(f"missing tensor {u.name + '.bn.gamma'!r} (or folded bias)")
+        folded = f"{u.name}.bn.gamma" not in weights and f"{u.name}.bias" in weights
+        for suffix, shape in u.parts(folded):
+            name = f"{u.name}.{suffix}"
+            if name not in weights:
+                raise WeightError(f"missing tensor {name!r}")
+            t = weights[name]
+            if tuple(t.shape) != shape:
+                raise WeightError(f"tensor {name!r} has shape {tuple(t.shape)}, expected {shape}")
+            if suffix == "bn.var" and not np.all(t > 0):
+                raise WeightError(f"{name} must be strictly positive")
+            seen.add(name)
 
     extra = set(weights.tensors) - seen
     if extra:
         raise WeightError(f"unexpected tensors: {sorted(extra)[:5]}")
+
+
+# Draws per tensor suffix; kernels (dw is (K, C), pw is (C_in, C_out))
+# scale by their fan-in, shape[0].
+_INIT = {
+    "dw": lambda rng, shape: rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape),
+    "pw": lambda rng, shape: rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape),
+    "bias": lambda rng, shape: rng.normal(0.0, 0.1, shape),
+    "bn.gamma": lambda rng, shape: 1.0 + 0.1 * rng.standard_normal(shape),
+    "bn.beta": lambda rng, shape: 0.1 * rng.standard_normal(shape),
+    "bn.mean": lambda rng, shape: 0.1 * rng.standard_normal(shape),
+    "bn.var": lambda rng, shape: rng.uniform(0.8, 1.25, shape),
+}
 
 
 def random_weights(cfg: NetConfig, seed: int = 0) -> NetworkWeights:
@@ -289,24 +284,8 @@ def random_weights(cfg: NetConfig, seed: int = 0) -> NetworkWeights:
     rather than dominated by overflow or underflow.
     """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    head_name = _head_unit_name(cfg)
-    for u in _all_units(cfg):
-        if u.separable:
-            tensors[f"{u.name}.dw"] = rng.normal(
-                0.0, 1.0 / math.sqrt(u.kernel), (u.kernel, u.in_channels)
-            ).astype(np.float32)
-        tensors[f"{u.name}.pw"] = rng.normal(
-            0.0, 1.0 / math.sqrt(u.in_channels), (u.in_channels, u.out_channels)
-        ).astype(np.float32)
-        if u.name == head_name:
-            tensors[f"{u.name}.bias"] = rng.normal(0.0, 0.1, u.out_channels).astype(np.float32)
-        else:
-            c = u.out_channels
-            tensors[f"{u.name}.bn.gamma"] = (1.0 + 0.1 * rng.standard_normal(c)).astype(np.float32)
-            tensors[f"{u.name}.bn.beta"] = (0.1 * rng.standard_normal(c)).astype(np.float32)
-            tensors[f"{u.name}.bn.mean"] = (0.1 * rng.standard_normal(c)).astype(np.float32)
-            tensors[f"{u.name}.bn.var"] = rng.uniform(0.8, 1.25, c).astype(np.float32)
+    tensors = {f"{u.name}.{suffix}": _INIT[suffix](rng, shape).astype(np.float32)
+               for u in _all_units(cfg) for suffix, shape in u.parts()}
     return NetworkWeights(tensors)
 
 
@@ -430,7 +409,7 @@ def fold_batchnorm(cfg: NetConfig, weights: NetworkWeights) -> NetworkWeights:
         tensors[f"{u.name}.pw"] = (tensors[f"{u.name}.pw"] * scale).astype(np.float32)
         bias = tensors[f"{u.name}.bn.beta"] - tensors[f"{u.name}.bn.mean"] * scale
         tensors[f"{u.name}.bias"] = bias.astype(np.float32)
-        for part in ("gamma", "beta", "mean", "var"):
+        for part in _BN_PARTS:
             del tensors[f"{u.name}.bn.{part}"]
     return NetworkWeights(tensors)
 
@@ -467,16 +446,15 @@ def _stride_total(cfg: NetConfig) -> int:
 
 
 def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
-                      chunk_seconds: float, feat_cfg: FeatureConfig | None = None,
-                      normalize: bool = True, log_probs: bool = True) -> np.ndarray:
+                      chunk_seconds: float, feat_cfg: FeatureConfig | None = None) -> np.ndarray:
     """Chunked forward pass with receptive-field overlap.
 
-    Features are extracted (and, by default, normalized) once for the
-    whole clip; the conv stack then runs on overlapping windows and
-    only rows whose full receptive field lies inside their window are
-    kept, so the concatenation matches the unchunked forward within
-    1e-4 max-abs (bitwise when one chunk covers the clip). The chunk
-    must cover at least the receptive field.
+    Features are extracted and normalized once for the whole clip; the
+    conv stack then runs on overlapping windows and only rows whose full
+    receptive field lies inside their window are kept, so the
+    concatenation matches the unchunked forward within 1e-4 max-abs
+    (bitwise when one chunk covers the clip). The chunk must cover at
+    least the receptive field.
     """
     feat_cfg = feat_cfg or FeatureConfig()
     rf_sec = receptive_field_seconds(cfg, feat_cfg)
@@ -497,7 +475,7 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
     t = feats.shape[0]
     if t == 0:
         return np.zeros((0, cfg.vocab_size + 1), dtype=np.float32)
-    if normalize and t >= 2:
+    if t >= 2:
         feats = normalize_features(feats)
     t_out = -(-t // stride)
 
@@ -507,7 +485,7 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
         start = max(0, row * stride - left)
         start -= start % stride  # window starts on an anchor boundary
         end = min(t, start + chunk_frames)
-        y = forward(cfg, weights, feats[start:end], log_probs=log_probs)
+        y = forward(cfg, weights, feats[start:end])
         last = t_out - 1 if end == t else (end - 1 - right) // stride
         first_local = row - start // stride
         pieces.append(y[first_local:last - start // stride + 1])
@@ -529,25 +507,26 @@ class AdaptPolicy:
     given seed). The blank column is always carried over implicitly.
     """
 
-    mode: str
     mapping: tuple[tuple[str, str | None], ...]
     init: str = "zero"
     scale: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("extend", "shrink"):
-            raise ValueError("mode must be 'extend' or 'shrink'")
         if self.init not in ("zero", "uniform"):
             raise ValueError("init must be 'zero' or 'uniform'")
+
+    @property
+    def mode(self) -> str:
+        """'extend' when some target symbol is NEW, else 'shrink'."""
+        return "extend" if any(s is None for _, s in self.mapping) else "shrink"
 
 
 def make_adapt_policy(src: AlphabetSpec, tgt: AlphabetSpec, init: str = "zero",
                       scale: float = 0.01, seed: int = 0) -> AdaptPolicy:
     """Identity mapping: shared symbols keep their weights, others are NEW."""
     mapping = tuple((sym, sym if sym in src.symbols else None) for sym in tgt.symbols)
-    mode = "extend" if any(s is None for _, s in mapping) else "shrink"
-    return AdaptPolicy(mode, mapping, init, scale, seed)
+    return AdaptPolicy(mapping, init, scale, seed)
 
 
 def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
@@ -572,7 +551,7 @@ def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
     if cfg.vocab_size != src.size:
         raise ValueError("cfg.vocab_size does not match the source alphabet")
 
-    head_name = _head_unit_name(cfg)
+    head_name = _all_units(cfg)[-1].name
     old_w = weights[f"{head_name}.pw"]
     old_b = weights[f"{head_name}.bias"]
     c_in = old_w.shape[0]
@@ -634,7 +613,10 @@ def write_tensor_blob(directory, tensors: dict[str, np.ndarray],
 
 
 def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a manifest.json + weights.bin directory (or manifest path)."""
+    """Read a manifest.json + weights.bin directory (or manifest path).
+
+    The tensors are read-only views into the one checksummed blob.
+    """
     path = Path(path)
     directory = path.parent if path.name == MANIFEST_NAME else path
     manifest_path = directory / MANIFEST_NAME
@@ -644,29 +626,37 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WeightError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
+        raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
     blob_path = directory / BLOB_NAME
     if not blob_path.exists():
         raise WeightError(f"{blob_path}: missing weight blob")
     blob = blob_path.read_bytes()
 
-    checksum = manifest.get("checksum", "")
-    if not checksum.startswith("sha256:"):
+    checksum = manifest.get("checksum")
+    if not isinstance(checksum, str) or not checksum.startswith("sha256:"):
         raise WeightError(f"{manifest_path}: missing or malformed checksum")
     digest = "sha256:" + hashlib.sha256(blob).hexdigest()
     if digest != checksum:
         raise WeightError(f"{blob_path}: checksum mismatch (corrupt or truncated blob)")
 
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest.get("tensors", []):
-        name, shape = entry["name"], tuple(entry["shape"])
-        offset, length = entry["offset"], entry["length"]
+    for i, entry in enumerate(manifest.get("tensors", [])):
+        try:
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise TypeError("name must be a string")
+            shape = tuple(int(d) for d in entry["shape"])
+            offset, length = int(entry["offset"]), int(entry["length"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WeightError(f"{manifest_path}: malformed tensor entry {i}: {exc!r}") from exc
         if entry.get("dtype") != "f32":
             raise WeightError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if length != 4 * count or offset + length > len(blob):
+        if (min(shape, default=0) < 0 or offset < 0 or length != 4 * count
+                or offset + length > len(blob)):
             raise WeightError(f"tensor {name!r}: offset/length outside blob")
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        tensors[name] = flat.reshape(shape).astype(np.float32)
+        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
     return tensors, manifest
 
 
@@ -700,27 +690,15 @@ def load_weights(path) -> LoadedModel:
     for key in ("net", "features", "alphabet"):
         if key not in manifest:
             raise WeightError(f"model manifest lacks the {key!r} section")
-    cfg = NetConfig.from_dict(manifest["net"])
-    feat_cfg = FeatureConfig.from_dict(manifest["features"])
-    alphabet = AlphabetSpec.from_dict(manifest["alphabet"])
+    try:
+        cfg = NetConfig.from_dict(manifest["net"])
+        feat_cfg = FeatureConfig.from_dict(manifest["features"])
+        alphabet = AlphabetSpec.from_dict(manifest["alphabet"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WeightError(f"{path}: malformed model manifest section: {exc!r}") from exc
     weights = NetworkWeights(tensors)
     validate_weights(cfg, weights)
     if alphabet.size != cfg.vocab_size:
         raise WeightError("manifest alphabet size disagrees with net vocab_size")
     return LoadedModel(manifest.get("model", "model"), cfg, weights, feat_cfg, alphabet)
 
-
-def import_external_checkpoint(src, layout: str, out_dir=None) -> LoadedModel:
-    """Convert a checkpoint exported by another framework to this format.
-
-    A converter for a given layout must rename tensors to the names in
-    tensor_specs, reshape depthwise kernels to (K, C) and pointwise
-    kernels to (C_in, C_out) row-major float32, attach NetConfig,
-    FeatureConfig and AlphabetSpec sections, and save with save_weights.
-    No external layout is bundled; this stub documents the mapping
-    contract so converters can live out of tree.
-    """
-    raise WeightError(
-        f"no converter registered for checkpoint layout {layout!r}; "
-        "see import_external_checkpoint docstring for the mapping contract"
-    )

@@ -154,10 +154,6 @@ def shipped_rules(lang: str) -> NormRules:
     return load_rules(path)
 
 
-def shipped_rule_languages() -> list[str]:
-    return sorted(p.stem for p in (Path(__file__).parent / "rules").glob("*.json"))
-
-
 # ---------------------------------------------------------------------------
 # Number spelling
 

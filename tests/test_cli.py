@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end via run()."""
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -73,6 +74,30 @@ def test_missing_model_directory_is_data_error(capsys, tmp_path):
                            "--model", str(tmp_path / "no-model"))
     assert code == 2
     assert "error:" in err
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest["tensors"][0][key]
+    return edit
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop("name"), _drop("shape"), _drop("offset"), _drop("length"),
+    lambda m: m["net"].pop("blocks"),
+    lambda m: m["net"]["prologue"].update(width=3),
+], ids=["no-name", "no-shape", "no-offset", "no-length", "net-no-blocks", "net-unknown-key"])
+def test_malformed_model_manifest_is_data_error(capsys, tiny_model_dir, tmp_path, corrupt):
+    model = tmp_path / "model"
+    shutil.copytree(tiny_model_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text())
+    corrupt(manifest)
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    wav = tmp_path / "a.wav"
+    write_wav(wav, tone(0.2))
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(model), "--wav", str(wav))
+    assert code == 2
+    assert "malformed" in err
 
 
 def test_no_model_flag_and_no_env_is_data_error(capsys, tmp_path):

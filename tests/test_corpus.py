@@ -1,7 +1,5 @@
 """Dataset reading, audio conversion, cleaning metrics, splitting, writing."""
-import tarfile
 import wave
-import zipfile
 
 import numpy as np
 import pytest
@@ -11,10 +9,10 @@ from scipy.io import wavfile
 
 from scribo.corpus import (CleaningReport, CorpusStats, DatasetItem,
                            clean_corpus, compute_stats, convert_audio,
-                           corpus_averages, extract_archive, probe_duration,
+                           corpus_averages, probe_duration,
                            read_dataset, read_manifest, split_dataset,
                            write_dataset)
-from scribo.errors import ArchiveError, AudioFormatError, DatasetError
+from scribo.errors import AudioFormatError, DatasetError
 
 from conftest import tone, write_wav
 
@@ -36,55 +34,6 @@ def test_item_validation():
 def test_chars_per_second():
     assert item(2.0, text="abcd").chars_per_second == 2.0
     assert item(0.0, text="abcd").chars_per_second == float("inf")
-
-
-# ----------------------------------------------------------- extract_archive
-
-def test_extract_zip(tmp_path):
-    src = tmp_path / "a.zip"
-    with zipfile.ZipFile(src, "w") as zf:
-        zf.writestr("one.txt", "1")
-        zf.writestr("sub/two.txt", "2")
-    out = extract_archive(src, tmp_path / "out")
-    assert (out / "one.txt").read_text() == "1"
-    assert (out / "sub" / "two.txt").read_text() == "2"
-
-
-def test_extract_tar_gz(tmp_path):
-    payload = tmp_path / "p.txt"
-    payload.write_text("data")
-    src = tmp_path / "a.tar.gz"
-    with tarfile.open(src, "w:gz") as tf:
-        tf.add(payload, arcname="p.txt")
-    out = extract_archive(src, tmp_path / "out")
-    assert (out / "p.txt").read_text() == "data"
-
-
-def test_extract_truncated_tar_gz(tmp_path):
-    payload = tmp_path / "p.bin"
-    payload.write_bytes(bytes(50000))
-    src = tmp_path / "a.tar.gz"
-    with tarfile.open(src, "w:gz") as tf:
-        tf.add(payload, arcname="p.bin")
-    raw = src.read_bytes()
-    src.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ArchiveError):
-        extract_archive(src, tmp_path / "out")
-
-
-def test_extract_unsupported_format(tmp_path):
-    src = tmp_path / "a.rar"
-    src.write_bytes(b"Rar!\x1a\x07\x00")
-    with pytest.raises(ArchiveError, match="unsupported"):
-        extract_archive(src, tmp_path / "out")
-
-
-def test_extract_rejects_path_escape(tmp_path):
-    src = tmp_path / "evil.zip"
-    with zipfile.ZipFile(src, "w") as zf:
-        zf.writestr("../evil.txt", "nope")
-    with pytest.raises(ArchiveError):
-        extract_archive(src, tmp_path / "out")
 
 
 # --------------------------------------------------------------- converting
@@ -507,18 +456,6 @@ def test_write_missing_audio(tmp_path):
     items = [item(1.0, filepath="ghost.wav")]
     with pytest.raises(DatasetError):
         write_dataset(items, "manifest-csv", tmp_path)
-
-
-def test_write_copies_audio_to_new_root(tmp_path):
-    src_root = tmp_path / "src"
-    src_root.mkdir()
-    write_wav(src_root / "a.wav", np.zeros(16000))
-    out = tmp_path / "out"
-    items = [item(1.0, filepath="a.wav")]
-    manifest = write_dataset(items, "manifest-csv", out, base_dir=src_root)
-    assert (out / "a.wav").exists()
-    again = read_manifest(manifest)
-    assert again[0].filepath == "a.wav"
 
 
 def test_round_trip_preserves_fields(tmp_path):

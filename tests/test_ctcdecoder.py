@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scribo.ctcdecoder import (DecodeParams, Hypothesis, accumulate_logits,
-                               beam_decode, collapse, greedy_decode,
-                               word_error_rate)
+from scribo.ctcdecoder import (DecodeParams, Hypothesis, beam_decode, collapse,
+                               greedy_decode, word_error_rate)
 from scribo.lm import parse_arpa
 from scribo.textnorm import AlphabetSpec
 
@@ -229,35 +228,6 @@ def test_lm_requires_space_symbol(unigram_lm):
     logits = np.zeros((2, 4))
     with pytest.raises(ValueError):
         beam_decode(logits, ABC, DecodeParams(beam_width=4, lm=unigram_lm))
-
-
-# --------------------------------------------------------------- accumulate
-
-def test_accumulate_concatenates():
-    a = np.zeros((3, 4))
-    b = np.ones((4, 4))
-    out = accumulate_logits([a, b])
-    assert out.shape == (7, 4)
-    assert np.array_equal(out[:3], a)
-    assert np.array_equal(out[3:], b)
-
-
-def test_accumulate_single_chunk_identity():
-    a = np.random.default_rng(0).normal(size=(5, 3))
-    assert np.array_equal(accumulate_logits([a]), a)
-
-
-def test_accumulate_width_mismatch():
-    with pytest.raises(ValueError):
-        accumulate_logits([np.zeros((2, 4)), np.zeros((2, 5))])
-
-
-def test_accumulate_then_decode_matches_concat():
-    rng = np.random.default_rng(1)
-    c1 = log_softmax_rows(rng.normal(0, 1, (3, 4)))
-    c2 = log_softmax_rows(rng.normal(0, 1, (4, 4)))
-    joined = accumulate_logits([c1, c2])
-    assert greedy_decode(joined, ABC) == greedy_decode(np.concatenate([c1, c2]), ABC)
 
 
 # ---------------------------------------------------------------------- WER

@@ -1,5 +1,6 @@
 """Network config, forward pass, folding, streaming, adaptation, weight IO."""
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -468,7 +469,6 @@ def test_adapt_rejects_unknown_source(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
     policy = net.AdaptPolicy(
-        mode="extend",
         mapping=tuple((s, "ß" if s == "ñ" else s) for s in tgt.symbols),
     )
     with pytest.raises(ValueError, match="unknown source"):
@@ -478,8 +478,7 @@ def test_adapt_rejects_unknown_source(en_model):
 def test_adapt_rejects_incomplete_mapping(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.AdaptPolicy(mode="extend",
-                             mapping=tuple((s, s) for s in src.symbols))
+    policy = net.AdaptPolicy(mapping=tuple((s, s) for s in src.symbols))
     with pytest.raises(ValueError):
         net.adapt_alphabet(cfg, weights, src, tgt, policy)
 
@@ -582,6 +581,51 @@ def test_load_rejects_tampered_alphabet(tmp_path):
         net.load_weights(tmp_path)
 
 
-def test_converter_stub_names_contract():
-    with pytest.raises(WeightError, match="onnx"):
-        net.import_external_checkpoint("/nowhere", "onnx")
+def test_loaded_tensors_are_read_only_views_of_the_blob(tmp_path):
+    cfg = small_config(vocab_size=28)
+    net.save_weights(tmp_path, cfg, net.random_weights(cfg, seed=1),
+                     FeatureConfig(mel_bins=8), ALPHABETS["en"])
+    for tensor in net.load_weights(tmp_path).weights.tensors.values():
+        assert not tensor.flags.owndata
+        assert not tensor.flags.writeable
+
+
+def test_read_rejects_non_object_manifest(tmp_path):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(WeightError, match="object"):
+        net.read_tensor_blob(tmp_path)
+
+
+@pytest.mark.parametrize("entry", [
+    {"shape": [2], "offset": "zero"},
+    {"name": ["x"]},
+    {"shape": [-1], "length": -4},
+])
+def test_read_rejects_bad_tensor_entry(tmp_path, entry):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tensors"][0].update(entry)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(WeightError):
+        net.read_tensor_blob(tmp_path)
+
+
+# sha256 over (name, float32 bytes) of random_weights(small_config(), seed=0),
+# tensors in name order, as first recorded. The benchmark model is drawn
+# by the same code, so a change here changes the model it measures.
+SMALL_RANDOM_WEIGHTS_SHA256 = "2c9353b982c7b3dddd5bd99e88527ebfa0d074a221d938c86467ca637e103809"
+
+
+def test_random_weights_draw_stream_is_pinned():
+    weights = net.random_weights(small_config(), seed=0)
+    digest = hashlib.sha256()
+    for name in sorted(weights.tensors):
+        digest.update(name.encode())
+        digest.update(weights.tensors[name].tobytes())
+    assert digest.hexdigest() == SMALL_RANDOM_WEIGHTS_SHA256
+
+
+def test_adapt_policy_mode_follows_mapping():
+    assert net.AdaptPolicy(mapping=(("a", "a"), ("b", None))).mode == "extend"
+    assert net.AdaptPolicy(mapping=(("a", "a"),)).mode == "shrink"
