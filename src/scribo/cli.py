@@ -38,6 +38,8 @@ from .textnorm import ALPHABETS, AlphabetSpec, load_rules, normalize_text, shipp
 log = logging.getLogger(__name__)
 
 MODEL_DIR_ENV = "SCRIBO_MODEL_DIR"
+# thread-count variables of the BLAS/OpenMP runtimes, reported by bench
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -134,13 +136,17 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
 
 def transcribe(model: LoadedModel, wav_path, chunk: float | None = None,
                params: DecodeParams | None = None) -> tuple[str, RtfReport]:
-    """Full pipeline for one file; params=None selects greedy decoding."""
+    """Full pipeline for one file; params=None selects greedy decoding.
+
+    The reported wall time covers reading the WAV as well as the three
+    stages, so the RTF is what a caller waits for per file.
+    """
+    start = time.perf_counter()
     clip = load_wav(wav_path)
     if clip.duration == 0:
         raise ScriboError(f"{wav_path}: zero-length audio, transcript empty and RTF undefined")
 
     stages: dict[str, float] = {}
-    start = time.perf_counter()
     if chunk is None:
         t0 = time.perf_counter()
         feats = logmel(clip, model.features)
@@ -219,10 +225,15 @@ def cmd_bench(args) -> int:
         "aggregate_rtf": total_wall / total_audio,
         "total_audio": total_audio,
         "total_wall": total_wall,
+        # worker threads multiply with BLAS threads unless BLAS is pinned
+        "workers": args.workers,
+        **{var: os.environ.get(var) for var in _THREAD_ENV},
     }
+    threads = ", ".join(f"{var}={summary[var] or 'unset'}" for var in _THREAD_ENV)
     _emit(args, summary,
           f"{len(rtfs)} measurements: mean rtf {summary['mean_rtf']:.3f}, "
-          f"median rtf {summary['median_rtf']:.3f}, aggregate {summary['aggregate_rtf']:.3f}")
+          f"median rtf {summary['median_rtf']:.3f}, aggregate {summary['aggregate_rtf']:.3f}; "
+          f"workers {args.workers}, {threads}")
     return 0
 
 

@@ -2,11 +2,12 @@
 import json
 import math
 import shutil
+import time
 
 import numpy as np
 import pytest
 
-from scribo import corpus, lm as lm_mod, net
+from scribo import cli, corpus, lm as lm_mod, net
 from scribo.cli import MODEL_DIR_ENV, run
 from scribo.textnorm import ALPHABETS
 
@@ -377,6 +378,21 @@ def test_transcribe_zero_length_audio(capsys, tiny_model_dir, tmp_path):
     assert "zero-length" in err
 
 
+def test_transcribe_wall_time_includes_reading_the_wav(monkeypatch, tiny_model_dir, tmp_path):
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, tone(0.5))
+    read = cli.load_wav
+
+    def slow_load_wav(path):
+        time.sleep(0.05)
+        return read(path)
+
+    monkeypatch.setattr(cli, "load_wav", slow_load_wav)
+    _, report = cli.transcribe(net.load_weights(tiny_model_dir), wav)
+    assert report.wall_time >= 0.05
+    assert set(report.stage_breakdown) == {"features", "forward", "decode"}
+
+
 def test_transcribe_with_beam_and_lm(capsys, tiny_model_dir, tmp_path, toy_arpa):
     wav = tmp_path / "clip.wav"
     write_wav(wav, tone(0.8))
@@ -430,7 +446,9 @@ def test_bench_empty_manifest(capsys, tiny_model_dir, tmp_path):
     assert "empty manifest" in err
 
 
-def test_bench_workers_matches_serial_count(capsys, tiny_model_dir, wav_dir):
+def test_bench_workers_matches_serial_count(capsys, monkeypatch, tiny_model_dir, wav_dir):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     items = [corpus.DatasetItem("one.wav", "x", 0.5),
              corpus.DatasetItem("two.wav", "y", 0.5)]
     manifest = make_manifest(wav_dir, items, name="bench")
@@ -438,7 +456,12 @@ def test_bench_workers_matches_serial_count(capsys, tiny_model_dir, wav_dir):
                            str(tiny_model_dir), "--manifest", str(manifest),
                            "--workers", "2")
     assert code == 0
-    assert jlines(out)[-1]["measurements"] == 2
+    summary = jlines(out)[-1]
+    assert summary["measurements"] == 2
+    # the thread settings that decide whether workers stack on BLAS threads
+    assert summary["workers"] == 2
+    assert summary["OPENBLAS_NUM_THREADS"] == "1"
+    assert summary["OMP_NUM_THREADS"] is None
 
 
 # ------------------------------------------------------------------- corpus

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scribo import ctcdecoder
 from scribo.ctcdecoder import (DecodeParams, Hypothesis, beam_decode, collapse,
                                greedy_decode, word_error_rate)
-from scribo.lm import parse_arpa
-from scribo.textnorm import AlphabetSpec
+from scribo.lm import NgramModel, parse_arpa
+from scribo.textnorm import ALPHABETS, AlphabetSpec
+
+from beam_reference import reference_beam_decode
 
 ABC = AlphabetSpec(symbols="abc")
 
@@ -228,6 +231,128 @@ def test_lm_requires_space_symbol(unigram_lm):
     logits = np.zeros((2, 4))
     with pytest.raises(ValueError):
         beam_decode(logits, ABC, DecodeParams(beam_width=4, lm=unigram_lm))
+
+
+# ------------------------------------------------- against the frozen reference
+
+# the parsed form of UNIGRAM_ARPA, built directly so hypothesis tests
+# need no file fixture
+UNIGRAM_LM = NgramModel(1, [{(0,): (-0.05, 0.0), (1,): (-2.0, 0.0), (2,): (-2.0, 0.0)}],
+                        ["a", "b", "<unk>"])
+
+
+def small_trigram(words=("a", "b", "c", "ab", "ba", "ca", "bc")):
+    """A trigram model with backoff weights and no <unk>, so the search
+    meets stored trigrams, backoff through stored and unstored
+    histories, OOV words at the floor and OOV history tokens."""
+    rng = np.random.default_rng(42)
+    n = len(words)
+    uni = {(i,): (float(-rng.uniform(0.2, 2.0)), float(-rng.uniform(0.0, 0.8)))
+           for i in range(n)}
+    bi = {(i, j): (float(-rng.uniform(0.1, 1.5)), float(-rng.uniform(0.0, 0.5)))
+          for i in range(n) for j in range(n) if (i + 2 * j) % 3 == 0}
+    tri = {(i, j, k): (float(-rng.uniform(0.05, 1.0)), 0.0)
+           for (i, j) in bi for k in range(n) if (i + j + k) % 2 == 0}
+    return NgramModel(3, [uni, bi, tri], list(words))
+
+
+TRIGRAM_LM = small_trigram()
+
+
+class CountingLm:
+    """Exposes only what the decoder may use (order and score_word) and
+    counts each (history, word) it is asked for."""
+
+    def __init__(self, model):
+        self.order = model.order
+        self._model = model
+        self.calls: dict[tuple, int] = {}
+
+    def score_word(self, history, word):
+        key = (tuple(history), word)
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return self._model.score_word(history, word)
+
+
+def random_logits(seed, frames, width, rounded=False):
+    rng = np.random.default_rng(seed)
+    logits = log_softmax_rows(rng.normal(0, 2, (frames, width)))
+    # integer-valued rows tie many candidates at the beam cutoff
+    return np.round(logits) if rounded else logits
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(0, 10), vocab=st.integers(1, 4),
+       with_space=st.booleans(), width=st.integers(1, 64),
+       alpha=st.floats(0.0, 2.0), beta=st.floats(-1.0, 2.0),
+       lm=st.sampled_from([None, UNIGRAM_LM, TRIGRAM_LM]), rounded=st.booleans())
+def test_beam_decode_matches_reference(seed, frames, vocab, with_space, width, alpha, beta,
+                                       lm, rounded):
+    symbols = (" " + "abc"[:vocab - 1]) if with_space else "abcd"[:vocab]
+    alphabet = AlphabetSpec(tuple(symbols))
+    logits = random_logits(seed, frames, vocab + 1, rounded)
+    params = DecodeParams(beam_width=width, alpha=alpha, beta=beta,
+                          lm=lm if with_space else None)
+    assert beam_decode(logits, alphabet, params) == reference_beam_decode(logits, alphabet,
+                                                                          params)
+
+
+def benchmark_shaped_logits(seed, frames):
+    """28 symbols plus blank, with blank, space and a-c favoured, so
+    hypotheses spell words the trigram model knows."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(0, 2, (frames, 29))
+    raw[:, [0, 1, 2, 3]] += 1.5
+    raw[:, 28] += 2.0
+    return log_softmax_rows(raw).astype(np.float32)
+
+
+def test_benchmark_shaped_case_matches_reference():
+    logits = benchmark_shaped_logits(7, 100)
+    params = DecodeParams(beam_width=256, alpha=0.8, beta=1.0, lm=TRIGRAM_LM)
+    got = beam_decode(logits, ALPHABETS["en"], params)
+    assert len(got) == 256
+    assert got == reference_beam_decode(logits, ALPHABETS["en"], params)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lm_scores_each_key_once_and_no_more_than_reference(seed):
+    logits = benchmark_shaped_logits(seed, 30)
+    ours, theirs = CountingLm(TRIGRAM_LM), CountingLm(TRIGRAM_LM)
+    got = beam_decode(logits, ALPHABETS["en"], DecodeParams(beam_width=32, lm=ours))
+    want = reference_beam_decode(logits, ALPHABETS["en"], DecodeParams(beam_width=32, lm=theirs))
+    assert got == want
+    assert ours.calls and max(ours.calls.values()) == 1
+    assert sum(ours.calls.values()) <= sum(theirs.calls.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trie_compaction_changes_nothing(monkeypatch, seed):
+    # compact after every few new nodes instead of every 16k
+    monkeypatch.setattr(ctcdecoder, "_TRIE_SLACK", 8)
+    if seed < 4:
+        alphabet, logits, width = AlphabetSpec(tuple(" ab")), random_logits(seed, 12, 4, seed % 2), 16
+    else:
+        alphabet, logits, width = ALPHABETS["en"], benchmark_shaped_logits(seed, 40), 64
+    ours, theirs = CountingLm(TRIGRAM_LM), CountingLm(TRIGRAM_LM)
+    got = beam_decode(logits, alphabet, DecodeParams(beam_width=width, lm=ours))
+    assert got == reference_beam_decode(logits, alphabet, DecodeParams(beam_width=width, lm=theirs))
+    assert sum(ours.calls.values()) <= sum(theirs.calls.values())
+
+
+@pytest.mark.parametrize("lm", [None, UNIGRAM_LM])
+def test_beam_zero_frames(lm):
+    sp = AlphabetSpec(symbols=" ab")
+    params = DecodeParams(beam_width=8, alpha=0.8, beta=1.0, lm=lm)
+    assert beam_decode(np.zeros((0, 4)), sp, params) == [Hypothesis("", 0.0, 0.0, 0.0)]
+
+
+def test_beam_float32_decodes_like_float64_upcast():
+    logits = benchmark_shaped_logits(3, 40)
+    params = DecodeParams(beam_width=64, alpha=0.8, beta=1.0, lm=TRIGRAM_LM)
+    alphabet = ALPHABETS["en"]
+    assert beam_decode(logits, alphabet, params) == beam_decode(
+        logits.astype(np.float64), alphabet, params)
 
 
 # ---------------------------------------------------------------------- WER

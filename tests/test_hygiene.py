@@ -1,7 +1,9 @@
-"""Source hygiene: every import in a package module is used.
+"""Source hygiene: every import in a package module is used, and every
+module-level private name is read somewhere in the package.
 
 No linter ships with the toolchain, so this check stands in for one.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 import ast
 from pathlib import Path
@@ -33,3 +35,46 @@ def test_checker_flags_only_the_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_privates(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level private name that no module
+    of the package reads, by name, attribute or import."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{mod}:{name}" for mod, tree in trees.items()
+                  for name in module_privates(tree) - read)
+
+
+def test_checker_flags_only_the_unread_privates():
+    sources = {
+        "a.py": "_K = 1\n_gone = 2\nclass _Old: pass\ndef _f(): return _K\n",
+        "b.py": "from a import _f\nimport a\nprint(_f(), a._helper)\n",
+        "c.py": "def _helper(): pass\n__all__ = []\n",
+    }
+    assert unread_privates(sources) == ["a.py:_Old", "a.py:_gone"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_privates(sources) == []
