@@ -18,6 +18,12 @@ from .errors import AudioFormatError
 
 SAMPLE_RATE = 16000
 
+# Frames per FFT block in logmel. The spectrum of a whole long clip is the
+# largest transient of the pipeline (about 55 MiB of complex and power
+# arrays for 90 s); blocks keep it to a few MiB, and since each row's FFT
+# and filterbank product stand alone the output is the same.
+_STFT_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -160,10 +166,13 @@ def logmel(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
         return np.zeros((0, cfg.mel_bins), dtype=np.float32)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop][:n_frames]
     window = get_window("hann", win, fftbins=True)
-    spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
-    mel_power = power @ mel_filterbank(cfg).T.astype(np.float64)
-    return np.log(mel_power + cfg.log_epsilon).astype(np.float32)
+    filterbank = mel_filterbank(cfg).T.astype(np.float64)
+    out = np.empty((n_frames, cfg.mel_bins), dtype=np.float32)
+    for i in range(0, n_frames, _STFT_BLOCK):
+        spectrum = np.fft.rfft(frames[i:i + _STFT_BLOCK] * window, n=cfg.fft_size, axis=1)
+        power = spectrum.real ** 2 + spectrum.imag ** 2
+        out[i:i + _STFT_BLOCK] = np.log(power @ filterbank + cfg.log_epsilon)
+    return out
 
 
 def normalize_features(frames: np.ndarray) -> np.ndarray:

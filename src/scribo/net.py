@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,10 @@ class BlockGroup:
     channels: int
     residual: bool = True
 
+    def __post_init__(self):
+        if self.sub_blocks < 1:
+            raise ValueError("sub_blocks must be >= 1")
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -95,6 +99,9 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown net config keys: {sorted(unknown)}")
         return cls(
             vocab_size=d["vocab_size"],
             input_features=d["input_features"],
@@ -293,52 +300,165 @@ def random_weights(cfg: NetConfig, seed: int = 0) -> NetworkWeights:
 # Forward
 
 
-def _depthwise(x: np.ndarray, kernel: np.ndarray, stride: int, dilation: int) -> np.ndarray:
-    k = kernel.shape[0]
-    t = x.shape[0]
-    ke = dilation * (k - 1) + 1
-    t_out = -(-t // stride)
-    pad_left = (ke - 1) // 2
-    pad_right = max(0, (t_out - 1) * stride + ke - pad_left - t)
-    padded = np.zeros((pad_left + t + pad_right, x.shape[1]), dtype=np.float32)
-    padded[pad_left:pad_left + t] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, ke, axis=0)
-    taps = windows[::stride][:t_out][:, :, ::dilation]
-    return np.einsum("tck,kc->tc", taps, kernel)
+class _Depthwise:
+    """A depthwise conv that keeps only the input its next output needs.
+
+    ``rows`` holds the zero-padded input from the first tap of the next
+    output row on (None stands for the left padding before the first
+    push). ``start`` is where that tap lies in the held rows followed by
+    the next push; it is nonzero only when the stride outruns the
+    kernel. A push emits every output row whose right context has
+    arrived. The last push pads on the right exactly as a whole-clip
+    pass does and emits the rest, so one last push of the whole input
+    is that pass.
+    """
+
+    def __init__(self, kernel: np.ndarray, stride: int, dilation: int):
+        self.kernel = kernel
+        self.stride = stride
+        self.dilation = dilation
+        self.span = dilation * (kernel.shape[0] - 1) + 1
+        self.pad_left = (self.span - 1) // 2
+        self.rows = None  # the left padding, until the first push
+        self.start = 0
+        self.seen = 0
+        self.emitted = 0
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        self.seen += x.shape[0]
+        held = self.pad_left if self.rows is None else self.rows.shape[0]
+        pad_right = 0
+        if last:
+            t_out = -(-self.seen // self.stride)
+            pad_right = max(0, (t_out - 1) * self.stride + self.span - self.pad_left - self.seen)
+        rows = np.zeros((held + x.shape[0] + pad_right, x.shape[1]), dtype=np.float32)
+        if self.rows is not None:
+            rows[:held] = self.rows
+        rows[held:held + x.shape[0]] = x
+        if last:
+            n = t_out - self.emitted
+        else:
+            n = max(0, (rows.shape[0] - self.start - self.span) // self.stride + 1)
+        if n == 0:
+            out = np.zeros((0, x.shape[1]), dtype=np.float32)
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(rows[self.start:], self.span,
+                                                               axis=0)
+            taps = windows[::self.stride][:n][:, :, ::self.dilation]
+            out = np.einsum("tck,kc->tc", taps, self.kernel)
+        self.emitted += n
+        if not last:
+            # Keep a copy: a view would keep the whole pushed chunk alive.
+            nxt = self.start + n * self.stride
+            keep = min(nxt, rows.shape[0])
+            self.rows = rows[keep:].copy()
+            self.start = nxt - keep
+        return out
 
 
-def _affine(x: np.ndarray, unit: str, weights: NetworkWeights) -> np.ndarray:
-    if f"{unit}.bn.gamma" in weights:
-        gamma = weights[f"{unit}.bn.gamma"]
-        beta = weights[f"{unit}.bn.beta"]
-        mean = weights[f"{unit}.bn.mean"]
-        var = weights[f"{unit}.bn.var"]
-        scale = gamma / np.sqrt(var + BN_EPS)
-        return x * scale + (beta - mean * scale)
-    if f"{unit}.bias" in weights:
-        return x + weights[f"{unit}.bias"]
-    raise WeightError(f"unit {unit!r} has neither batch norm nor bias")
+class _Conv:
+    """One conv unit with its tensors and its affine resolved once.
+
+    The affine is the batch-norm scale and shift, or the bias of a
+    folded unit; folding stays a weight conversion, not a copy made here.
+    """
+
+    def __init__(self, u: _Unit, weights: NetworkWeights, relu: bool):
+        if u.separable:
+            self.dw = _Depthwise(weights[f"{u.name}.dw"], u.stride, u.dilation)
+        elif u.stride != 1 or u.dilation != 1:
+            raise WeightError(f"unit {u.name!r}: pointwise conv must have stride/dilation 1")
+        else:
+            self.dw = None
+        self.pw = weights[f"{u.name}.pw"]
+        self.relu = relu
+        if f"{u.name}.bn.gamma" in weights:
+            mean = weights[f"{u.name}.bn.mean"]
+            var = weights[f"{u.name}.bn.var"]
+            self.scale = weights[f"{u.name}.bn.gamma"] / np.sqrt(var + BN_EPS)
+            self.shift = weights[f"{u.name}.bn.beta"] - mean * self.scale
+        elif f"{u.name}.bias" in weights:
+            self.scale = None
+            self.shift = weights[f"{u.name}.bias"]
+        else:
+            raise WeightError(f"unit {u.name!r} has neither batch norm nor bias")
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        if self.dw is not None:
+            x = self.dw.push(x, last)
+        # In place on the fresh matmul output: the same arithmetic as
+        # x * scale + shift with one large temporary fewer.
+        x = x @ self.pw
+        if self.scale is not None:
+            x *= self.scale
+        x += self.shift
+        return np.maximum(x, 0.0, out=x) if self.relu else x
 
 
-def _conv(x: np.ndarray, u: _Unit, weights: NetworkWeights) -> np.ndarray:
-    if u.separable:
-        x = _depthwise(x, weights[f"{u.name}.dw"], u.stride, u.dilation)
-    elif u.stride != 1 or u.dilation != 1:
-        raise WeightError(f"unit {u.name!r}: pointwise conv must have stride/dilation 1")
-    return x @ weights[f"{u.name}.pw"]
+class _Block:
+    """A residual block; its skip path waits for the main path's rows.
+
+    ``inputs`` holds (as a copy) the block inputs whose main-path output
+    has not been emitted yet, None before the first push; sub-convs have
+    stride 1, so each emitted row takes the oldest waiting input row.
+    A block has at least one sub-conv, so ``y`` is a fresh array that
+    the skip sum and ReLU may overwrite.
+    """
+
+    def __init__(self, subs: list[_Unit], res: _Unit | None, weights: NetworkWeights):
+        self.subs = [_Conv(u, weights, relu=j < len(subs) - 1) for j, u in enumerate(subs)]
+        self.res = None if res is None else _Conv(res, weights, relu=False)
+        self.inputs = None
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        waiting = x if self.inputs is None else np.concatenate([self.inputs, x])
+        y = x
+        for sub in self.subs:
+            y = sub.push(y, last)
+        n = y.shape[0]
+        if self.res is not None:
+            y += self.res.push(waiting[:n], last)
+            if not last:
+                self.inputs = waiting[n:].copy()
+        return np.maximum(y, 0.0, out=y)
 
 
-def _head(x: np.ndarray, name: str, weights: NetworkWeights) -> np.ndarray:
-    # Per-column matrix-vector products: each output column comes from
-    # its own reduction, so adding or dropping other columns (alphabet
-    # surgery) can never perturb it.
-    w = weights[f"{name}.pw"]
-    bias = weights[f"{name}.bias"]
-    out = np.empty((x.shape[0], w.shape[1]), dtype=np.float32)
-    wt = np.ascontiguousarray(w.T)
-    for j in range(w.shape[1]):
-        out[:, j] = x @ wt[j]
-    return out + bias
+class _Head:
+    def __init__(self, u: _Unit, weights: NetworkWeights):
+        self.wt = np.ascontiguousarray(weights[f"{u.name}.pw"].T)
+        self.bias = weights[f"{u.name}.bias"]
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        # Per-column matrix-vector products: each output column comes from
+        # its own reduction, so adding or dropping other columns (alphabet
+        # surgery) can never perturb it.
+        out = np.empty((x.shape[0], self.wt.shape[0]), dtype=np.float32)
+        for j in range(self.wt.shape[0]):
+            out[:, j] = x @ self.wt[j]
+        out += self.bias
+        return out
+
+
+class _Stream:
+    """The network as a chain of stages that each keep their own context.
+
+    Push feature rows in order, the last push with ``last=True``; each
+    push returns the pre-softmax rows that became final.
+    """
+
+    def __init__(self, cfg: NetConfig, weights: NetworkWeights):
+        front, blocks, tail = _plan(cfg)
+        self.stages = (
+            [_Conv(u, weights, relu=True) for u in front]
+            + [_Block(subs, res, weights) for _, subs, res in blocks]
+            + [_Conv(u, weights, relu=True) for u in tail[:-1]]
+            + [_Head(tail[-1], weights)]
+        )
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        for stage in self.stages:
+            x = stage.push(x, last)
+        return x
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -354,6 +474,7 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
     Returns ceil(T / prologue stride) rows of width vocab_size+1, as
     log-softmax scores (or raw pre-softmax activations with
     log_probs=False, which alphabet-adaptation comparisons rely on).
+    This is one push of every frame that also ends the stream.
     """
     x = np.asarray(features, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != cfg.input_features:
@@ -362,24 +483,7 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
         )
     if x.shape[0] < 1:
         raise ValueError("need at least one feature frame")
-
-    head, blocks, tail = _plan(cfg)
-    for u in head:
-        x = np.maximum(_affine(_conv(x, u, weights), u.name, weights), 0.0)
-
-    for name, subs, res in blocks:
-        inp = x
-        for j, u in enumerate(subs):
-            x = _affine(_conv(x, u, weights), u.name, weights)
-            if j < len(subs) - 1:
-                x = np.maximum(x, 0.0)
-        if res is not None:
-            x = x + _affine(inp @ weights[f"{res.name}.pw"], res.name, weights)
-        x = np.maximum(x, 0.0)
-
-    for u in tail[:-1]:
-        x = np.maximum(_affine(_conv(x, u, weights), u.name, weights), 0.0)
-    x = _head(x, tail[-1].name, weights)
+    x = _Stream(cfg, weights).push(x, last=True)
     return log_softmax(x) if log_probs else x
 
 
@@ -438,37 +542,24 @@ def receptive_field_seconds(cfg: NetConfig, feat_cfg: FeatureConfig) -> float:
     return (left + right) * feat_cfg.hop_length + feat_cfg.window_length
 
 
-def _stride_total(cfg: NetConfig) -> int:
-    s = 1
-    for u in _all_units(cfg):
-        s *= u.stride
-    return s
-
-
 def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
                       chunk_seconds: float, feat_cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Chunked forward pass with receptive-field overlap.
+    """Chunked forward pass: the feature rows are pushed one chunk at a time.
 
-    Features are extracted and normalized once for the whole clip; the
-    conv stack then runs on overlapping windows and only rows whose full
-    receptive field lies inside their window are kept, so the
-    concatenation matches the unchunked forward within 1e-4 max-abs
-    (bitwise when one chunk covers the clip). The chunk must cover at
-    least the receptive field.
+    Features are extracted and normalized once for the whole clip. Each
+    conv keeps only the input rows its next outputs need, so the network
+    does the offline arithmetic for any chunk of at least one feature
+    hop, and the result matches the unchunked forward within 1e-4
+    max-abs (bitwise when one chunk covers the clip). A row is final
+    once the right half of the receptive field has been pushed after it.
     """
     feat_cfg = feat_cfg or FeatureConfig()
-    rf_sec = receptive_field_seconds(cfg, feat_cfg)
-    if chunk_seconds < rf_sec:
+    hop = feat_cfg.hop_length
+    frames = chunk_seconds / hop
+    if not (math.isfinite(chunk_seconds) and frames >= 1):
         raise ValueError(
-            f"chunk of {chunk_seconds:.2f}s is below the receptive field ({rf_sec:.2f}s)"
-        )
-    left, right = receptive_field_frames(cfg)
-    stride = _stride_total(cfg)
-    chunk_frames = int(chunk_seconds / feat_cfg.hop_length)
-    if chunk_frames < left + right + stride:
-        raise ValueError(
-            f"chunk of {chunk_frames} frames cannot make progress past the "
-            f"receptive field ({left}+{right} frames)"
+            f"chunk must be a finite length of at least one feature hop ({hop}s), "
+            f"got {chunk_seconds!r}"
         )
 
     feats = logmel(clip, feat_cfg)
@@ -477,20 +568,11 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
         return np.zeros((0, cfg.vocab_size + 1), dtype=np.float32)
     if t >= 2:
         feats = normalize_features(feats)
-    t_out = -(-t // stride)
-
-    pieces = []
-    row = 0
-    while row < t_out:
-        start = max(0, row * stride - left)
-        start -= start % stride  # window starts on an anchor boundary
-        end = min(t, start + chunk_frames)
-        y = forward(cfg, weights, feats[start:end])
-        last = t_out - 1 if end == t else (end - 1 - right) // stride
-        first_local = row - start // stride
-        pieces.append(y[first_local:last - start // stride + 1])
-        row = last + 1
-    return np.concatenate(pieces, axis=0)
+    step = int(min(frames, t))
+    stream = _Stream(cfg, weights)
+    return log_softmax(np.concatenate([
+        stream.push(feats[i:i + step], last=i + step >= t) for i in range(0, t, step)
+    ]))
 
 
 # ---------------------------------------------------------------------------

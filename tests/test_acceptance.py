@@ -147,12 +147,14 @@ def test_criterion_04_streaming_matches_offline(big, big_model, ten_second_wav):
     clip = load_wav(ten_second_wav)
 
     offline = net.forward(cfg, weights, normalize_features(logmel(clip, feat_cfg)))
-    # chunks must cover the receptive field (over 80 s here), so a 10 s
-    # clip is processed as one window
+    # a chunk over the receptive field (over 80 s here) is one push of the
+    # whole 10 s clip; the shorter chunks carry each conv's context across
+    # pushes
     chunk = net.receptive_field_seconds(cfg, feat_cfg) + 0.5
-    streamed = net.forward_streaming(cfg, weights, clip, chunk, feat_cfg)
-    assert streamed.shape == offline.shape
-    assert float(np.abs(streamed - offline).max()) <= 1e-4
+    for seconds in (chunk, 1.0, 3.3):
+        streamed = net.forward_streaming(cfg, weights, clip, seconds, feat_cfg)
+        assert streamed.shape == offline.shape
+        assert float(np.abs(streamed - offline).max()) <= 1e-4, seconds
 
     text_offline, _ = cli.transcribe(big_model, ten_second_wav)
     text_streamed, _ = cli.transcribe(big_model, ten_second_wav, chunk=chunk)

@@ -87,7 +87,9 @@ def _drop(key):
     _drop("name"), _drop("shape"), _drop("offset"), _drop("length"),
     lambda m: m["net"].pop("blocks"),
     lambda m: m["net"]["prologue"].update(width=3),
-], ids=["no-name", "no-shape", "no-offset", "no-length", "net-no-blocks", "net-unknown-key"])
+    lambda m: m["net"].update(dropout=0.1),
+], ids=["no-name", "no-shape", "no-offset", "no-length", "net-no-blocks", "net-unknown-key",
+        "net-unknown-top-level-key"])
 def test_malformed_model_manifest_is_data_error(capsys, tiny_model_dir, tmp_path, corrupt):
     model = tmp_path / "model"
     shutil.copytree(tiny_model_dir, model)
@@ -359,6 +361,16 @@ def test_transcribe_chunked_matches_full(capsys, tiny_model_dir, tmp_path):
     chunked = jlines(chunk_out)[0]
     assert chunked["transcript"] == full["transcript"]
     assert chunked["stages"]["features"] == 0.0   # folded into forward
+
+
+@pytest.mark.parametrize("chunk", ["inf", "nan", "0", "-1", "0.001"])
+def test_transcribe_bad_chunk_is_data_error(capsys, tiny_model_dir, tmp_path, chunk):
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, tone(1.0))
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(tiny_model_dir),
+                           "--wav", str(wav), "--chunk", chunk)
+    assert code == 2
+    assert "chunk" in err
 
 
 def test_transcribe_model_from_environment(capsys, tiny_model_dir, tmp_path,

@@ -186,6 +186,31 @@ def test_frame_count_matches_output(n):
     assert cfg.frame_count(n) == want
 
 
+def whole_clip_logmel(clip, cfg):
+    """logmel as one FFT over every frame at once: the reference."""
+    from scipy.signal import get_window
+
+    n_frames = cfg.frame_count(len(clip.samples))
+    frames = np.lib.stride_tricks.sliding_window_view(
+        clip.samples, cfg.window_samples)[::cfg.hop_samples][:n_frames]
+    spectrum = np.fft.rfft(frames * get_window("hann", cfg.window_samples, fftbins=True),
+                           n=cfg.fft_size, axis=1)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    mel_power = power @ mel_filterbank(cfg).T.astype(np.float64)
+    return np.log(mel_power + cfg.log_epsilon).astype(np.float32)
+
+
+@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 2049, 3000])
+def test_blocked_logmel_is_bitwise_the_whole_clip_transform(n_frames):
+    cfg = FeatureConfig()
+    rng = np.random.default_rng(n_frames)
+    n = cfg.window_samples + cfg.hop_samples * (n_frames - 1)
+    clip = AudioClip(rng.uniform(-0.5, 0.5, n).astype(np.float32), 16000)
+    feats = logmel(clip, cfg)
+    assert feats.shape == (n_frames, cfg.mel_bins)
+    assert np.array_equal(feats, whole_clip_logmel(clip, cfg))
+
+
 # -------------------------------------------------------------- normalize
 
 def test_normalize_two_point_column():

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from scribo import net
 from scribo.errors import WeightError
-from scribo.features import AudioClip, FeatureConfig, logmel, normalize_features
+from scribo.ctcdecoder import greedy_decode
+from scribo.features import (AudioClip, FeatureConfig, load_wav, logmel,
+                             normalize_features)
 from scribo.textnorm import ALPHABETS, AlphabetSpec
 
-from conftest import small_config, tone
+from conftest import small_config, tone, write_wav
+from net_reference import reference_forward
 
 
 def rand_features(rng, t, f=8):
@@ -39,6 +42,11 @@ def test_quartznet15x5_layout():
 
 def test_netconfig_dict_round_trip(small_cfg):
     assert net.NetConfig.from_dict(small_cfg.to_dict()) == small_cfg
+
+
+def test_block_group_needs_a_sub_block():
+    with pytest.raises(ValueError, match="sub_blocks"):
+        net.BlockGroup(repeats=1, sub_blocks=0, kernel=3, channels=4)
 
 
 # ------------------------------------------------------------- param_count
@@ -187,6 +195,29 @@ def test_forward_zero_gamma_is_input_independent(small_cfg):
     assert np.allclose(out, out[0], atol=1e-6)
     other = net.forward(small_cfg, frozen, rand_features(rng, 30))
     assert np.allclose(out[0], other[0], atol=1e-6)
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["bn", "folded"])
+@pytest.mark.parametrize("log_probs", [True, False], ids=["log-probs", "raw"])
+@pytest.mark.parametrize("t", [1, 2, 7, 60, 301])
+def test_forward_is_bitwise_the_reference(small_net, folded, log_probs, t):
+    cfg, weights = small_net
+    if folded:
+        weights = net.fold_batchnorm(cfg, weights)
+    feats = rand_features(np.random.default_rng(t), t)
+    assert np.array_equal(net.forward(cfg, weights, feats, log_probs),
+                          reference_forward(cfg, weights, feats, log_probs))
+
+
+def test_full_size_forward_is_bitwise_the_reference(tmp_path):
+    # the 10 s noise clip of acceptance criterion 04
+    cfg = net.quartznet15x5(28)
+    weights = net.random_weights(cfg, seed=0)
+    rng = np.random.default_rng(7)
+    write_wav(tmp_path / "noise10s.wav", rng.uniform(-0.5, 0.5, 10 * 16000))
+    feats = normalize_features(logmel(load_wav(tmp_path / "noise10s.wav"), FeatureConfig()))
+    assert np.array_equal(net.forward(cfg, weights, feats),
+                          reference_forward(cfg, weights, feats))
 
 
 # ----------------------------------------------------------------- folding
@@ -342,18 +373,29 @@ def stream_setup():
 
 
 def test_streaming_matches_forward_across_chunk_sizes(stream_setup):
-    # windows carry full receptive-field context, so logits agree to float
-    # noise (BLAS blocking differs with window length); transcripts match
-    from scribo.ctcdecoder import greedy_decode
-
+    # each conv carries its own context across pushes, so logits agree to
+    # float noise (BLAS blocking differs with push length); transcripts match
     cfg, weights, feat_cfg, clip, full = stream_setup
     rf = net.receptive_field_seconds(cfg, feat_cfg)
     alphabet = AlphabetSpec(("a", "b", "c", "d", " "))
-    for chunk in (rf, 0.8, 1.0, 1.5, 2.9):
+    for chunk in (rf, 0.8, 1.0, 1.5, 2.9, 0.01, 0.02, 0.05, 0.137, rf / 2):
         out = net.forward_streaming(cfg, weights, clip, chunk, feat_cfg=feat_cfg)
         assert out.shape == full.shape
         assert float(np.abs(out - full).max()) <= 1e-4, f"chunk={chunk}"
         assert greedy_decode(out, alphabet) == greedy_decode(full, alphabet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk=st.floats(min_value=0.01, max_value=4.0))
+def test_streaming_any_chunk_matches_forward(stream_setup, chunk):
+    cfg, weights, feat_cfg, clip, full = stream_setup
+    alphabet = AlphabetSpec(("a", "b", "c", "d", " "))
+    out = net.forward_streaming(cfg, weights, clip, chunk, feat_cfg=feat_cfg)
+    assert out.shape == full.shape
+    assert float(np.abs(out - full).max()) <= 1e-4
+    assert greedy_decode(out, alphabet) == greedy_decode(full, alphabet)
+    if int(chunk / feat_cfg.hop_length) >= feat_cfg.frame_count(len(clip.samples)):
+        assert np.array_equal(out, full)
 
 
 def test_streaming_row_count_example(stream_setup):
@@ -371,11 +413,57 @@ def test_streaming_single_chunk_is_forward(stream_setup):
     assert np.array_equal(out, full)
 
 
-def test_streaming_chunk_below_receptive_field(stream_setup):
+@pytest.mark.parametrize("chunk", [math.inf, -math.inf, math.nan, 0.0, -1.0, 0.009])
+def test_streaming_rejects_bad_chunk(stream_setup, chunk):
     cfg, weights, feat_cfg, clip, _ = stream_setup
-    rf = net.receptive_field_seconds(cfg, feat_cfg)
-    with pytest.raises(ValueError, match="receptive field"):
-        net.forward_streaming(cfg, weights, clip, rf * 0.5, feat_cfg=feat_cfg)
+    with pytest.raises(ValueError, match="chunk"):
+        net.forward_streaming(cfg, weights, clip, chunk, feat_cfg=feat_cfg)
+
+
+def _depthwise_convs(stream):
+    for stage in stream.stages:
+        for conv in getattr(stage, "subs", [stage]):
+            if getattr(conv, "dw", None) is not None:
+                yield conv.dw
+
+
+def test_stream_state_is_bounded_and_owns_its_memory(small_net):
+    cfg, weights = small_net
+    feats = rand_features(np.random.default_rng(3), 200)
+    stream = net._Stream(cfg, weights)
+    for i in range(0, 200, 23):
+        stream.push(feats[i:i + 23], last=i + 23 >= 200)
+        for dw in _depthwise_convs(stream):
+            assert dw.rows.shape[0] <= dw.dilation * (dw.kernel.shape[0] - 1) + dw.stride
+            assert dw.rows.base is None
+        for block in stream.stages:
+            if isinstance(block, net._Block):
+                lag = sum(sub.dw.span - 1 - sub.dw.pad_left for sub in block.subs)
+                assert block.inputs.shape[0] <= lag
+                assert block.inputs.base is None
+
+
+@pytest.mark.parametrize("kernel,stride,dilation", [(1, 2, 1), (2, 3, 1), (3, 2, 3), (6, 3, 2)])
+def test_streaming_strided_prologue_matches_forward(kernel, stride, dilation):
+    # covers spans shorter than the stride, where a push can end inside
+    # the rows the next output skips
+    cfg = net.NetConfig(
+        vocab_size=3, input_features=4,
+        prologue=net.ConvSpec(kernel=kernel, channels=6, stride=stride, dilation=dilation),
+        blocks=(net.BlockGroup(repeats=1, sub_blocks=2, kernel=4, channels=5),),
+        epilogue=(net.ConvSpec(kernel=3, channels=7, dilation=2),),
+    )
+    weights = net.random_weights(cfg, seed=0)
+    rng = np.random.default_rng(kernel * 10 + stride)
+    for t in (1, 2, 5, 13, 31):
+        feats = rng.normal(0, 1, (t, 4)).astype(np.float32)
+        full = net.forward(cfg, weights, feats, log_probs=False)
+        for step in (1, 2, 3, 7):
+            stream = net._Stream(cfg, weights)
+            out = np.concatenate([stream.push(feats[i:i + step], last=i + step >= t)
+                                  for i in range(0, t, step)])
+            assert out.shape == full.shape
+            assert float(np.abs(out - full).max()) <= 1e-4
 
 
 # -------------------------------------------------------------- adaptation
@@ -436,8 +524,6 @@ def test_adapt_identity_is_bitwise_noop(en_model):
 
 
 def test_adapt_preserves_greedy_on_dominant_head(en_model):
-    from scribo.ctcdecoder import greedy_decode
-
     cfg, weights = en_model
     tensors = dict(weights.tensors)
     tensors["c4.bias"] = tensors["c4.bias"] + 10.0   # keep old logits above 0
