@@ -13,6 +13,7 @@ the readers at local files.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
@@ -24,13 +25,19 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import AudioFormatError, DatasetError
 
 log = logging.getLogger(__name__)
 
 TARGET_RATE = 16000
+
+#: Highest source sample rate convert_audio accepts (every standard PCM
+#: rate is below it). It bounds the resampling filter, which has
+#: 20*max(16000, rate)/g + 1 taps for g = gcd(rate, 16000): at most 7.7M
+#: taps (59 MiB).
+MAX_SOURCE_RATE = 384000
 
 #: How non-conformant sample rates are brought to 16 kHz; recorded in
 #: conversion sidecars so downstream users know the interpolation used.
@@ -81,14 +88,24 @@ class CleaningReport:
 # Audio
 
 
+#: Integer PCM dtypes as (offset, full scale): a sample x maps to
+#: (x - offset) / full scale in [-1, 1).
+_PCM_SCALE = {
+    np.dtype(np.int16): (0, 32768.0),
+    np.dtype(np.int32): (0, 2147483648.0),
+    np.dtype(np.uint8): (128, 128.0),
+}
+
+
 def _to_float(samples: np.ndarray) -> np.ndarray:
-    if samples.dtype == np.int16:
-        return samples.astype(np.float64) / 32768.0
-    if samples.dtype == np.int32:
-        return samples.astype(np.float64) / 2147483648.0
-    if samples.dtype == np.uint8:
-        return (samples.astype(np.float64) - 128.0) / 128.0
-    return samples.astype(np.float64)
+    out = samples.astype(np.float64)
+    scale = _PCM_SCALE.get(samples.dtype)
+    if scale is not None:
+        offset, full = scale
+        if offset:
+            out -= offset
+        out /= full
+    return out
 
 
 def probe_duration(path) -> float:
@@ -99,7 +116,8 @@ def probe_duration(path) -> float:
             if rate <= 0:
                 raise AudioFormatError(f"{path}: bad sample rate in header")
             return wf.getnframes() / rate
-    except (wave.Error, EOFError, OSError, struct.error) as exc:
+    except (wave.Error, EOFError, OSError, struct.error, RuntimeError) as exc:
+        # wave raises a bare RuntimeError when a chunk's size runs past EOF
         raise AudioFormatError(f"{path}: cannot probe duration: {exc}") from exc
 
 
@@ -108,7 +126,47 @@ def _write_pcm16(path, samples: np.ndarray) -> None:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(TARGET_RATE)
-        wf.writeframes(samples.astype("<i2").tobytes())
+        wf.writeframes(samples.astype("<i2", copy=False).tobytes())
+
+
+def _downmix(data: np.ndarray) -> np.ndarray:
+    """Average the channel columns of ``data`` into float64 in [-1, 1].
+
+    Integer PCM is summed column by column as float64 and scaled once.
+    Every partial sum is an integer below 2**47 (at most 65535 channels
+    of 32-bit samples), so it is exact, the one rounding left is the
+    final division, and the result equals ``_to_float(data).mean(axis=1)``
+    bit for bit. Float input keeps that mean: for 9 or more channels its
+    pairwise order differs from a column loop.
+    """
+    scale = _PCM_SCALE.get(data.dtype)
+    if scale is None:
+        return _to_float(data).mean(axis=1)
+    offset, full = scale
+    channels = data.shape[1]
+    mono = data[:, 0].astype(np.float64)
+    for c in range(1, channels):
+        mono += data[:, c]
+    if offset:
+        mono -= offset * channels
+    mono /= full * channels
+    return mono
+
+
+@functools.lru_cache(maxsize=4)
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """The anti-aliasing filter ``resample_poly(x, up, down)`` designs by
+    default, designed once per rate pair and shared read-only.
+
+    ``resample_poly`` copies an array window before scaling it, so
+    passing this one gives its default output bit for bit. It has
+    8821 taps (69 KiB) for 44.1 and 22.05 kHz; a rate coprime to 16000
+    needs 20*max(16000, rate) + 1 taps, which is why the cache is small.
+    """
+    max_rate = max(up, down)
+    h = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
 
 
 def convert_audio(src_path, dst_path) -> float:
@@ -116,16 +174,29 @@ def convert_audio(src_path, dst_path) -> float:
 
     Stereo is downmixed by averaging, other sample rates go through a
     polyphase windowed-sinc resampler, and already conformant input is
-    passed through with byte-identical samples.
+    passed through with byte-identical samples. A file that cannot be
+    decoded, has a sample rate outside (0, MAX_SOURCE_RATE] or holds
+    non-finite float samples raises AudioFormatError.
     """
     src_path, dst_path = Path(src_path), Path(dst_path)
     try:
         rate, data = wavfile.read(src_path)
     except (ValueError, EOFError, OSError, struct.error) as exc:
         raise AudioFormatError(f"{src_path}: cannot decode: {exc}") from exc
+    except (ZeroDivisionError, TypeError, UnboundLocalError) as exc:
+        # scipy's reader trusts the header: it divides by the channel
+        # count and block alignment, names a dtype after the container
+        # size, and reads unset locals when the fmt or data chunk is missing
+        raise AudioFormatError(f"{src_path}: malformed WAV header: {exc}") from exc
+    if not 0 < rate <= MAX_SOURCE_RATE:
+        raise AudioFormatError(
+            f"{src_path}: sample rate {rate} Hz outside 1-{MAX_SOURCE_RATE} Hz"
+        )
+    if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
+        raise AudioFormatError(f"{src_path}: float samples include NaN or infinity")
 
     if data.ndim == 2:
-        mono = _to_float(data).mean(axis=1)
+        mono = _downmix(data)
     elif data.dtype == np.int16 and rate == TARGET_RATE:
         # conformant input: copy samples through untouched
         _write_pcm16(dst_path, data)
@@ -138,8 +209,13 @@ def convert_audio(src_path, dst_path) -> float:
         return 0.0
     if rate != TARGET_RATE:
         g = math.gcd(TARGET_RATE, int(rate))
-        mono = resample_poly(mono, TARGET_RATE // g, rate // g)
-    pcm = np.clip(np.rint(mono * 32768.0), -32768, 32767).astype(np.int16)
+        up, down = TARGET_RATE // g, rate // g
+        mono = resample_poly(mono, up, down, window=_lowpass(up, down))
+    # mono is this function's own array: scale, round and clip in place
+    mono *= 32768.0
+    np.rint(mono, out=mono)
+    np.clip(mono, -32768, 32767, out=mono)
+    pcm = mono.astype("<i2")
     _write_pcm16(dst_path, pcm)
     return len(pcm) / TARGET_RATE
 

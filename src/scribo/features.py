@@ -117,6 +117,10 @@ def load_wav(path) -> AudioClip:
         raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
     except EOFError as exc:
         raise AudioFormatError(f"{path}: truncated WAV file") from exc
+    except RuntimeError as exc:
+        # wave's chunk reader raises a bare RuntimeError when a chunk's
+        # declared size runs past the end of the file
+        raise AudioFormatError(f"{path}: chunk size runs past the end of the file") from exc
     if len(data) != 2 * declared:
         raise AudioFormatError(
             f"{path}: data chunk holds {len(data) // 2} samples, header declares {declared}"

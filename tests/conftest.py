@@ -1,5 +1,6 @@
 """Shared fixtures: toy language models, a small network, WAV writers."""
 import math
+import struct
 import wave
 from pathlib import Path
 
@@ -66,6 +67,26 @@ def write_wav(path, samples, rate=16000, channels=1):
         f.setframerate(rate)
         f.writeframes(pcm.tobytes())
     return Path(path)
+
+
+def raw_wav(payload=b"", *, tag=1, channels=1, rate=16000, bits=16,
+            align=None, fmt=True, data=True):
+    """RIFF/WAVE bytes with every fmt field set by hand, for malformed files.
+
+    ``tag`` 1 is integer PCM, 3 is IEEE float. ``align`` (bytes per frame)
+    defaults to channels*bits/8 and the byte rate to rate*align, so one
+    field can be made bad while the rest stay consistent. ``fmt=False``
+    or ``data=False`` leaves that chunk out.
+    """
+    if align is None:
+        align = channels * bits // 8
+    body = b"WAVE"
+    if fmt:
+        body += b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate,
+                                      rate * align, align, bits)
+    if data:
+        body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def tone(seconds, freq=440.0, rate=16000, amp=0.3):

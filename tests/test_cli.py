@@ -11,7 +11,7 @@ from scribo import cli, corpus, lm as lm_mod, net
 from scribo.cli import MODEL_DIR_ENV, run
 from scribo.textnorm import ALPHABETS
 
-from conftest import tone, write_wav
+from conftest import raw_wav, tone, write_wav
 
 
 def run_cli(capsys, *argv):
@@ -522,6 +522,49 @@ def test_corpus_convert_parallel_same_manifest(capsys, tmp_path):
     a = (serial / "dataset.tsv").read_text()
     b = (parallel / "dataset.tsv").read_text()
     assert a == b
+
+
+def test_corpus_convert_workers_write_same_bytes(capsys, tmp_path):
+    src = tmp_path / "raw"
+    src.mkdir()
+    for rate, channels in ((8000, 1), (22050, 2), (44100, 2), (48000, 1),
+                           (16000, 1), (11025, 3)):
+        name = f"r{rate}c{channels}"
+        write_wav(src / f"{name}.wav", tone(0.3, rate=rate), rate=rate,
+                  channels=channels)
+        (src / f"{name}.txt").write_text(name)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert run_cli(capsys, "corpus", "convert", "--format", "folder-txt",
+                       "--in", str(src), "--out", str(out),
+                       "--workers", workers)[0] == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    serial, parallel = outs
+    assert len([n for n in serial if n.endswith(".wav")]) == 6
+    assert serial == parallel
+
+
+_NAN_WAV = raw_wav(np.array([0.1, np.nan], dtype=np.float32).tobytes(),
+                   tag=3, bits=32)
+
+
+@pytest.mark.parametrize("blob", [
+    raw_wav(bytes(4), channels=0, align=2),
+    raw_wav(bytes(4), rate=0),
+    _NAN_WAV,
+    raw_wav(data=False),
+], ids=["zero-channels", "rate-0", "nan-float", "no-data-chunk"])
+def test_corpus_convert_malformed_wav_is_data_error(capsys, tmp_path, blob):
+    src = tmp_path / "raw"
+    src.mkdir()
+    (src / "bad.wav").write_bytes(blob)
+    (src / "bad.txt").write_text("bad clip\n")
+    code, _, err = run_cli(capsys, "corpus", "convert", "--format", "folder-txt",
+                           "--in", str(src), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "bad.wav" in err
+    assert "Traceback" not in err
 
 
 def test_corpus_clean(capsys, wav_dir):

@@ -1,4 +1,5 @@
 """Dataset reading, audio conversion, cleaning metrics, splitting, writing."""
+import io
 import wave
 
 import numpy as np
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
+from scipy.signal import firwin
 
+import corpus_reference
+from scribo import corpus
 from scribo.corpus import (CleaningReport, CorpusStats, DatasetItem,
                            clean_corpus, compute_stats, convert_audio,
                            corpus_averages, probe_duration,
                            read_dataset, read_manifest, split_dataset,
                            write_dataset)
-from scribo.errors import AudioFormatError, DatasetError
+from scribo.errors import AudioFormatError, DatasetError, ScriboError
+from scribo.features import load_wav
 
-from conftest import tone, write_wav
+from conftest import raw_wav, tone, write_wav
 
 
 def item(duration, text="hello there", filepath="x.wav", speaker=None):
@@ -85,6 +90,130 @@ def test_convert_undecodable(tmp_path):
 def test_probe_duration(tmp_path):
     path = write_wav(tmp_path / "p.wav", np.zeros(24000))
     assert probe_duration(path) == pytest.approx(1.5)
+
+
+def _random_pcm(rng, dtype, frames, channels):
+    if dtype == "float32":
+        # past full scale too, so clipping is exercised
+        x = rng.uniform(-1.25, 1.25, (frames, channels)).astype(np.float32)
+    else:
+        info = np.iinfo(dtype)
+        x = rng.integers(info.min, info.max, (frames, channels),
+                         endpoint=True).astype(dtype)
+    return x[:, 0] if channels == 1 else x
+
+
+@settings(max_examples=80, deadline=None)
+@given(channels=st.integers(1, 3),
+       dtype=st.sampled_from(["int16", "int32", "uint8", "float32"]),
+       rate=st.sampled_from([8000, 11025, 22050, 44100, 48000, 16000]),
+       frames=st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_convert_matches_reference_bytes(tmp_path_factory, channels, dtype,
+                                         rate, frames, seed):
+    d = tmp_path_factory.mktemp("convert")
+    src = d / "in.wav"
+    wavfile.write(src, rate, _random_pcm(np.random.default_rng(seed), dtype,
+                                         frames, channels))
+    got = convert_audio(src, d / "got.wav")
+    want = corpus_reference.convert_audio(src, d / "want.wav")
+    assert got == want
+    assert (d / "got.wav").read_bytes() == (d / "want.wav").read_bytes()
+
+
+def test_lowpass_is_resample_poly_default_and_read_only():
+    # 44.1 kHz -> 16 kHz reduces to up 160, down 441
+    h = corpus._lowpass(160, 441)
+    assert h.shape == (8821,)
+    assert np.array_equal(h, firwin(8821, 1 / 441, window=("kaiser", 5.0)))
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 0.0
+    assert corpus._lowpass(160, 441) is h
+
+
+def test_lowpass_cache_stays_bounded(tmp_path):
+    corpus._lowpass.cache_clear()
+    rates = (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000)
+    for rate in rates:
+        src = write_wav(tmp_path / f"{rate}.wav", tone(0.05, rate=rate), rate=rate)
+        convert_audio(src, tmp_path / "out.wav")
+    info = corpus._lowpass.cache_info()
+    assert info.misses == len(rates)
+    assert info.currsize == info.maxsize == 4
+
+
+# ------------------------------------------------------------ malformed WAVs
+
+_FLOAT_NAN = np.array([0.0, np.nan], dtype=np.float32).tobytes()
+_FLOAT_INF = np.array([0.5, -np.inf], dtype=np.float32).tobytes()
+
+MALFORMED_WAVS = {
+    "zero channels": raw_wav(bytes(4), channels=0, align=2),
+    "zero bits": raw_wav(bytes(4), bits=0),
+    "rate 0": raw_wav(bytes(4), rate=0),
+    "rate above the maximum": raw_wav(bytes(4), rate=corpus.MAX_SOURCE_RATE + 1),
+    "NaN float": raw_wav(_FLOAT_NAN, tag=3, bits=32),
+    "infinite float": raw_wav(_FLOAT_INF, tag=3, bits=32),
+    "no data chunk": raw_wav(data=False),
+    "no fmt chunk": raw_wav(bytes(4), fmt=False),
+    "9-byte containers": raw_wav(bytes(18), bits=64, align=9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
+def test_convert_malformed_wav_is_format_error(tmp_path, name):
+    src = tmp_path / "bad.wav"
+    src.write_bytes(MALFORMED_WAVS[name])
+    with pytest.raises(AudioFormatError, match="bad.wav"):
+        convert_audio(src, tmp_path / "out.wav")
+
+
+def test_chunk_past_eof_is_format_error(tmp_path):
+    # a LIST chunk that declares more bytes than the file holds
+    good = raw_wav(bytes(8))
+    src = tmp_path / "cut.wav"
+    src.write_bytes(good[:36] + b"LIST" + (1000).to_bytes(4, "little") + good[36:])
+    with pytest.raises(AudioFormatError):
+        load_wav(src)
+    with pytest.raises(AudioFormatError):
+        probe_duration(src)
+
+
+def _wav_bytes(rate, samples):
+    buf = io.BytesIO()
+    wavfile.write(buf, rate, samples)
+    return buf.getvalue()
+
+
+_FUZZ_BASES = (
+    _wav_bytes(44100, (np.arange(64).reshape(32, 2) * 997 % 20000).astype(np.int16)),
+    _wav_bytes(16000, (np.arange(32) * 997 % 20000).astype(np.int16)),
+)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_FUZZ_BASES),
+       edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       keep=st.one_of(st.none(), st.integers(0, 200)))
+def test_wav_readers_fuzz(tmp_path_factory, base, edits, keep):
+    """Header bytes mutated, then maybe truncated: every WAV reader gives a
+    result or a ScriboError, never another exception."""
+    blob = bytearray(base)
+    for pos, value in edits:
+        blob[pos] = value
+    d = tmp_path_factory.mktemp("fuzz")
+    src = d / "fuzz.wav"
+    src.write_bytes(bytes(blob[:keep]))
+    for read in (lambda: convert_audio(src, d / "out.wav"),
+                 lambda: load_wav(src),
+                 lambda: probe_duration(src)):
+        try:
+            read()
+        except ScriboError:
+            pass
 
 
 # ------------------------------------------------------------------ readers
