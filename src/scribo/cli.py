@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import resource
 import statistics
 import sys
 import time
@@ -191,6 +192,19 @@ def cmd_transcribe(args) -> int:
     return 0
 
 
+def _p90(values) -> float:
+    """90th percentile by nearest rank, so never below the median."""
+    xs = sorted(values)
+    return xs[(9 * len(xs) - 1) // 10]
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def cmd_bench(args) -> int:
     model = load_weights(_model_dir(args))
     manifest = Path(args.manifest)
@@ -222,9 +236,11 @@ def cmd_bench(args) -> int:
         "measurements": len(rtfs),
         "mean_rtf": statistics.mean(rtfs),
         "median_rtf": statistics.median(rtfs),
+        "p90_rtf": _p90(rtfs),
         "aggregate_rtf": total_wall / total_audio,
         "total_audio": total_audio,
         "total_wall": total_wall,
+        "peak_rss_mib": _peak_rss_mib(),
         # worker threads multiply with BLAS threads unless BLAS is pinned
         "workers": args.workers,
         **{var: os.environ.get(var) for var in _THREAD_ENV},
@@ -232,7 +248,8 @@ def cmd_bench(args) -> int:
     threads = ", ".join(f"{var}={summary[var] or 'unset'}" for var in _THREAD_ENV)
     _emit(args, summary,
           f"{len(rtfs)} measurements: mean rtf {summary['mean_rtf']:.3f}, "
-          f"median rtf {summary['median_rtf']:.3f}, aggregate {summary['aggregate_rtf']:.3f}; "
+          f"median rtf {summary['median_rtf']:.3f}, p90 rtf {summary['p90_rtf']:.3f}, "
+          f"aggregate {summary['aggregate_rtf']:.3f}; peak RSS {summary['peak_rss_mib']:.1f} MiB; "
           f"workers {args.workers}, {threads}")
     return 0
 

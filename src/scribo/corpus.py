@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
 
 from .errors import AudioFormatError, DatasetError
 
@@ -88,18 +86,22 @@ class CleaningReport:
 # Audio
 
 
-#: Integer PCM dtypes as (offset, full scale): a sample x maps to
-#: (x - offset) / full scale in [-1, 1).
+#: Integer PCM as (offset, full scale) by dtype (kind, itemsize), so byte
+#: order does not matter: a sample x maps to (x - offset) / full scale in
+#: [-1, 1). The WAV reader returns RIFX (big-endian) data as ``>i2``/``>i4``,
+#: 24-bit samples left-justified in 4 bytes and 40- to 64-bit samples
+#: left-justified in 8.
 _PCM_SCALE = {
-    np.dtype(np.int16): (0, 32768.0),
-    np.dtype(np.int32): (0, 2147483648.0),
-    np.dtype(np.uint8): (128, 128.0),
+    ("i", 2): (0, 32768.0),
+    ("i", 4): (0, 2147483648.0),
+    ("i", 8): (0, 9223372036854775808.0),
+    ("u", 1): (128, 128.0),
 }
 
 
 def _to_float(samples: np.ndarray) -> np.ndarray:
     out = samples.astype(np.float64)
-    scale = _PCM_SCALE.get(samples.dtype)
+    scale = _PCM_SCALE.get((samples.dtype.kind, samples.dtype.itemsize))
     if scale is not None:
         offset, full = scale
         if offset:
@@ -132,15 +134,18 @@ def _write_pcm16(path, samples: np.ndarray) -> None:
 def _downmix(data: np.ndarray) -> np.ndarray:
     """Average the channel columns of ``data`` into float64 in [-1, 1].
 
-    Integer PCM is summed column by column as float64 and scaled once.
-    Every partial sum is an integer below 2**47 (at most 65535 channels
-    of 32-bit samples), so it is exact, the one rounding left is the
-    final division, and the result equals ``_to_float(data).mean(axis=1)``
-    bit for bit. Float input keeps that mean: for 9 or more channels its
-    pairwise order differs from a column loop.
+    Integer PCM of up to 32 bits is summed column by column as float64
+    and scaled once. Every partial sum is an integer below 2**47 (at most
+    65535 channels of 32-bit samples), so it is exact, the one rounding
+    left is the final division, and the result equals
+    ``_to_float(data).mean(axis=1)`` bit for bit. 64-bit samples do not
+    fit float64's 53-bit significand, so they take that scaled mean:
+    each sample rounds once, by less than 2**-53 of full scale, far below
+    the 16-bit output step. Float input keeps the mean too: for 9 or more
+    channels its pairwise order differs from a column loop.
     """
-    scale = _PCM_SCALE.get(data.dtype)
-    if scale is None:
+    scale = _PCM_SCALE.get((data.dtype.kind, data.dtype.itemsize))
+    if scale is None or data.dtype.itemsize > 4:
         return _to_float(data).mean(axis=1)
     offset, full = scale
     channels = data.shape[1]
@@ -163,6 +168,8 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     8821 taps (69 KiB) for 44.1 and 22.05 kHz; a rate coprime to 16000
     needs 20*max(16000, rate) + 1 taps, which is why the cache is small.
     """
+    from scipy.signal import firwin
+
     max_rate = max(up, down)
     h = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     h.flags.writeable = False
@@ -176,8 +183,13 @@ def convert_audio(src_path, dst_path) -> float:
     polyphase windowed-sinc resampler, and already conformant input is
     passed through with byte-identical samples. A file that cannot be
     decoded, has a sample rate outside (0, MAX_SOURCE_RATE] or holds
-    non-finite float samples raises AudioFormatError.
+    non-finite float samples raises AudioFormatError. scipy, which reads
+    and resamples, is imported here on first use, so inference never
+    loads it.
     """
+    from scipy.io import wavfile
+    from scipy.signal import resample_poly
+
     src_path, dst_path = Path(src_path), Path(dst_path)
     try:
         rate, data = wavfile.read(src_path)
@@ -197,12 +209,16 @@ def convert_audio(src_path, dst_path) -> float:
 
     if data.ndim == 2:
         mono = _downmix(data)
-    elif data.dtype == np.int16 and rate == TARGET_RATE:
-        # conformant input: copy samples through untouched
+    elif (data.dtype.kind, data.dtype.itemsize) == ("i", 2) and rate == TARGET_RATE:
+        # conformant input in either byte order: copy the samples through
         _write_pcm16(dst_path, data)
         return len(data) / TARGET_RATE
     else:
         mono = _to_float(data)
+    # free the raw samples before resampling: kept to the end, they raise
+    # each conversion's peak heap by their size, and the allocator then
+    # trims and re-grows the heap on every long file
+    del data
 
     if len(mono) == 0:
         _write_pcm16(dst_path, np.zeros(0, dtype=np.int16))
@@ -295,7 +311,7 @@ def read_manifest(path) -> list[DatasetItem]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"{path}: cannot read manifest: {exc}") from exc
     if not lines:
         raise DatasetError(f"{path}: empty manifest (missing header)")

@@ -8,11 +8,11 @@ travels with saved model weights.
 """
 from __future__ import annotations
 
+import numbers
 import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import AudioFormatError
 
@@ -55,6 +55,14 @@ class FeatureConfig:
     log_epsilon: float = 2.0 ** -24
 
     def __post_init__(self):
+        # configs also come from model manifests, where any JSON value can stand
+        for name in ("fft_size", "mel_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("window_length", "hop_length", "fmin", "fmax", "log_epsilon"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number")
         if self.mel_bins < 1:
             raise ValueError("mel_bins must be >= 1")
         if self.fft_size < self.window_samples:
@@ -156,6 +164,19 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return fb.astype(np.float32)
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of n samples, float64.
+
+    The same arithmetic as ``scipy.signal.get_window("hann", n)``
+    (a symmetric window of n + 1 points over linspace(-pi, pi), last
+    point dropped; ones for n <= 1), so features match it bit for bit
+    without loading scipy.
+    """
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
 def logmel(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
     """Log-mel features, one row per fully contained analysis window.
 
@@ -169,7 +190,7 @@ def logmel(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
     if n_frames == 0:
         return np.zeros((0, cfg.mel_bins), dtype=np.float32)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop][:n_frames]
-    window = get_window("hann", win, fftbins=True)
+    window = _hann(win)
     filterbank = mel_filterbank(cfg).T.astype(np.float64)
     out = np.empty((n_frames, cfg.mel_bins), dtype=np.float32)
     for i in range(0, n_frames, _STFT_BLOCK):

@@ -25,7 +25,9 @@ UNK = "<unk>"
 #: log10 probability assigned to OOV words when the model has no <unk>.
 DEFAULT_OOV_LOG10 = -8.0
 
-_NGRAM_COUNT_RE = re.compile(r"^ngram (\d+)\s*=\s*(\d+)$")
+# at most 18 digits: a longer count is no real model, and int() refuses
+# strings of more than 4300 digits
+_NGRAM_COUNT_RE = re.compile(r"^ngram (\d{1,18})\s*=\s*(\d{1,18})$")
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,11 @@ def parse_arpa(path) -> NgramModel:
     consistency (every k-gram's prefix present as a (k-1)-gram) is
     checked and violations are logged, not fatal.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ArpaError(f"{path}: not UTF-8 text: {exc}") from exc
 
     it = iter(enumerate(lines, 1))
     for _, line in it:
@@ -194,8 +199,10 @@ def parse_arpa(path) -> NgramModel:
         counts[int(m.group(1))] = int(m.group(2))
     if not counts:
         raise ArpaError("empty \\data\\ section")
-    order = max(counts)
-    if sorted(counts) != list(range(1, order + 1)):
+    # N distinct orders are 1..N exactly when they lie in [1, N]; a range
+    # as long as the largest declared order could exhaust memory
+    order = len(counts)
+    if max(counts) != order or min(counts) != 1:
         raise ArpaError("non-contiguous n-gram orders in header")
 
     interner: dict[str, int] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -32,6 +33,15 @@ BN_EPS = 1e-5
 # Configuration
 
 
+def _check_counts(spec, names) -> None:
+    """Each named field of ``spec`` must be an integer >= 1 (configs also
+    come from model manifests, where any JSON value can stand)."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     """One standalone conv stage (prologue/epilogue unit)."""
@@ -41,6 +51,9 @@ class ConvSpec:
     stride: int = 1
     dilation: int = 1
     separable: bool = True
+
+    def __post_init__(self):
+        _check_counts(self, ("kernel", "channels", "stride", "dilation"))
 
 
 @dataclass(frozen=True)
@@ -59,8 +72,7 @@ class BlockGroup:
     residual: bool = True
 
     def __post_init__(self):
-        if self.sub_blocks < 1:
-            raise ValueError("sub_blocks must be >= 1")
+        _check_counts(self, ("repeats", "sub_blocks", "kernel", "channels"))
 
 
 @dataclass(frozen=True)
@@ -75,10 +87,7 @@ class NetConfig:
     )
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        if self.input_features < 1:
-            raise ValueError("input_features must be >= 1")
+        _check_counts(self, ("vocab_size", "input_features"))
 
     def to_dict(self) -> dict:
         def conv(c: ConvSpec) -> dict:
@@ -251,6 +260,13 @@ def validate_weights(cfg: NetConfig, weights: NetworkWeights) -> None:
     four BN tensors or (after folding) a bias. BN variances must be
     positive.
     """
+    # every conv has at least two tensors: a config that needs more than
+    # the set holds is refused before its (maybe huge) plan is built
+    convs = 2 + len(cfg.epilogue) + sum(g.repeats * (g.sub_blocks + bool(g.residual))
+                                        for g in cfg.blocks)
+    if 2 * convs > len(weights.tensors):
+        raise WeightError(f"config has {convs} convs, more than {len(weights.tensors)} "
+                          f"tensors can hold")
     seen = set()
     for u in _all_units(cfg):
         folded = f"{u.name}.bn.gamma" not in weights and f"{u.name}.bias" in weights
@@ -706,7 +722,9 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         raise WeightError(f"{manifest_path}: no manifest found")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal
+        # longer than int() converts; RecursionError deep nesting
         raise WeightError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
@@ -730,15 +748,19 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise TypeError("name must be a string")
             shape = tuple(int(d) for d in entry["shape"])
             offset, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WeightError(f"{manifest_path}: malformed tensor entry {i}: {exc!r}") from exc
         if entry.get("dtype") != "f32":
             raise WeightError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: an int64 product could wrap
         if (min(shape, default=0) < 0 or offset < 0 or length != 4 * count
                 or offset + length > len(blob)):
             raise WeightError(f"tensor {name!r}: offset/length outside blob")
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+        try:
+            tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
+                                          offset=offset).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise WeightError(f"tensor {name!r}: {exc}") from exc
     return tensors, manifest
 
 
@@ -776,7 +798,7 @@ def load_weights(path) -> LoadedModel:
         cfg = NetConfig.from_dict(manifest["net"])
         feat_cfg = FeatureConfig.from_dict(manifest["features"])
         alphabet = AlphabetSpec.from_dict(manifest["alphabet"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WeightError(f"{path}: malformed model manifest section: {exc!r}") from exc
     weights = NetworkWeights(tensors)
     validate_weights(cfg, weights)

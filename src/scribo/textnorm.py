@@ -111,7 +111,9 @@ def load_rules(path: str | Path) -> NormRules:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal
+        # longer than int() converts; RecursionError deep nesting
         raise RuleFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise RuleFileError(f"{path}: rule file must be a JSON object")
@@ -119,8 +121,11 @@ def load_rules(path: str | Path) -> NormRules:
     if unknown:
         raise RuleFileError(f"{path}: unknown keys {sorted(unknown)}")
 
+    pairs = raw.get("replacements", [])
+    if not isinstance(pairs, list):
+        raise RuleFileError(f"{path}: replacements must be an array")
     replacements = []
-    for i, pair in enumerate(raw.get("replacements", [])):
+    for i, pair in enumerate(pairs):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2

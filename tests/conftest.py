@@ -1,4 +1,7 @@
-"""Shared fixtures: toy language models, a small network, WAV writers."""
+"""Shared fixtures: toy language models, a small network, WAV writers,
+and helpers for fuzzing the file readers."""
+import contextlib
+import io
 import math
 import struct
 import wave
@@ -6,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from scribo import net
+from scribo import cli, net
 from scribo.features import FeatureConfig
 from scribo.textnorm import ALPHABETS
 
@@ -70,23 +74,25 @@ def write_wav(path, samples, rate=16000, channels=1):
 
 
 def raw_wav(payload=b"", *, tag=1, channels=1, rate=16000, bits=16,
-            align=None, fmt=True, data=True):
+            align=None, fmt=True, data=True, big_endian=False):
     """RIFF/WAVE bytes with every fmt field set by hand, for malformed files.
 
     ``tag`` 1 is integer PCM, 3 is IEEE float. ``align`` (bytes per frame)
     defaults to channels*bits/8 and the byte rate to rate*align, so one
     field can be made bad while the rest stay consistent. ``fmt=False``
-    or ``data=False`` leaves that chunk out.
+    or ``data=False`` leaves that chunk out. ``big_endian`` writes a RIFX
+    file: the header fields big-endian; ``payload`` must match.
     """
+    order = ">" if big_endian else "<"
     if align is None:
         align = channels * bits // 8
     body = b"WAVE"
     if fmt:
-        body += b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate,
+        body += b"fmt " + struct.pack(order + "IHHIIHH", 16, tag, channels, rate,
                                       rate * align, align, bits)
     if data:
-        body += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+        body += b"data" + struct.pack(order + "I", len(payload)) + payload
+    return (b"RIFX" if big_endian else b"RIFF") + struct.pack(order + "I", len(body)) + body
 
 
 def tone(seconds, freq=440.0, rate=16000, amp=0.3):
@@ -95,6 +101,47 @@ def tone(seconds, freq=440.0, rate=16000, amp=0.3):
     n = int(round(seconds * rate / 16)) * 16
     t = np.arange(n) / rate
     return (amp * np.sin(2 * math.pi * freq * t)).astype(np.float32)
+
+
+# (dtype the WAV reader returns, bits, left shift of the 16-bit samples, RIFX)
+WIDE_PCM = {
+    "RIFX 16-bit": (">i2", 16, 0, True),
+    "RIFX 32-bit": (">i4", 32, 16, True),
+    "64-bit": ("<i8", 64, 48, False),
+    "RIFX 64-bit": (">i8", 64, 48, True),
+}
+
+
+def _twin_pcm(rate, channels):
+    """(frames, channels) int16 tones, a different one per channel."""
+    tones = [tone(0.25, 440.0, rate), tone(0.25, 660.0, rate, amp=0.2)][:channels]
+    return np.clip(np.rint(np.stack(tones, axis=1) * 32768), -32768, 32767).astype(np.int16)
+
+
+def write_twins(d, name, rate, channels):
+    """The native 16-bit WAV and its ``WIDE_PCM[name]`` twin with the
+    same samples; returns (native path, wide path, int16 samples)."""
+    dtype, bits, shift, big_endian = WIDE_PCM[name]
+    pcm = _twin_pcm(rate, channels)
+    native = d / "native.wav"
+    native.write_bytes(raw_wav(pcm.astype("<i2").tobytes(), channels=channels, rate=rate))
+    wide = d / "wide.wav"
+    payload = (pcm.astype(np.int64) << shift).astype(dtype).tobytes()
+    wide.write_bytes(raw_wav(payload, channels=channels, rate=rate, bits=bits,
+                             big_endian=big_endian))
+    return native, wide, pcm
+
+
+def mixed_rate_folder(src):
+    """A folder-txt corpus of six tones at mixed rates and channel counts."""
+    src.mkdir()
+    for rate, channels in ((8000, 1), (22050, 2), (44100, 2), (48000, 1),
+                           (16000, 1), (11025, 3)):
+        name = f"r{rate}c{channels}"
+        write_wav(src / f"{name}.wav", tone(0.3, rate=rate), rate=rate,
+                  channels=channels)
+        (src / f"{name}.txt").write_text(name)
+    return src
 
 
 @pytest.fixture
@@ -137,3 +184,45 @@ def tiny_model_dir(tmp_path_factory):
     weights = net.random_weights(cfg, seed=7)
     net.save_weights(root, cfg, weights, feat_cfg, ALPHABETS["en"], name="tiny")
     return root
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# bytes that matter to the text formats (ARPA, JSON, TSV), drawn more
+# often than the other 256 so mutations reach past the first parse error
+_SYNTAX_BYTES = b'0123456789-+.eE\t\n\r =\\"[]{},:<>'
+
+
+@st.composite
+def _mutated(draw, bases):
+    blob = bytearray(draw(st.sampled_from(bases)))
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(list(_SYNTAX_BYTES)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob)))
+        op = draw(st.sampled_from(("set", "insert", "delete")))
+        if op == "insert" or pos == len(blob):
+            blob.insert(pos, draw(byte))
+        elif op == "set":
+            blob[pos] = draw(byte)
+        else:
+            del blob[pos]
+    keep = draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return bytes(blob[:keep])
+
+
+def fuzzed(*bases):
+    """Byte strings for a reader: valid ``bases`` with 1-4 byte edits
+    (set, insert or delete) and maybe truncated, or arbitrary bytes."""
+    return st.one_of(_mutated(bases), st.binary(max_size=300))
+
+
+def run_quietly(*argv):
+    """``cli.run`` with stdout and stderr captured: (exit code, stderr).
+
+    An exception the CLI does not turn into an exit code propagates, so
+    a caller that gets a code back knows no traceback was printed.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, err.getvalue()

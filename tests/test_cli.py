@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line front end via run()."""
 import json
 import math
+import re
 import shutil
+import statistics
 import time
 
 import numpy as np
@@ -11,7 +13,7 @@ from scribo import cli, corpus, lm as lm_mod, net
 from scribo.cli import MODEL_DIR_ENV, run
 from scribo.textnorm import ALPHABETS
 
-from conftest import raw_wav, tone, write_wav
+from conftest import mixed_rate_folder, raw_wav, tone, write_twins, write_wav
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +392,15 @@ def test_transcribe_zero_length_audio(capsys, tiny_model_dir, tmp_path):
     assert "zero-length" in err
 
 
+@pytest.mark.parametrize("name", ["RIFX 16-bit", "64-bit"])
+def test_transcribe_rifx_or_64_bit_wav_is_data_error(capsys, tiny_model_dir, tmp_path, name):
+    _, wide, _ = write_twins(tmp_path, name, 16000, 1)
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(tiny_model_dir),
+                           "--wav", str(wide))
+    assert code == 2
+    assert "wide.wav" in err and "Traceback" not in err
+
+
 def test_transcribe_wall_time_includes_reading_the_wav(monkeypatch, tiny_model_dir, tmp_path):
     wav = tmp_path / "clip.wav"
     write_wav(wav, tone(0.5))
@@ -437,6 +448,31 @@ def test_bench_measurements_and_summary(capsys, tiny_model_dir, wav_dir):
         summary["total_wall"] / summary["total_audio"])
     rtfs = sorted(m["rtf"] for m in measurements)
     assert min(rtfs) <= summary["median_rtf"] <= max(rtfs)
+
+
+def test_bench_reports_p90_and_peak_rss(capsys, tiny_model_dir, wav_dir):
+    items = [corpus.DatasetItem("one.wav", "x", 0.5),
+             corpus.DatasetItem("two.wav", "y", 0.5)]
+    manifest = make_manifest(wav_dir, items, name="bench")
+    argv = ["bench", "--model", str(tiny_model_dir), "--manifest", str(manifest),
+            "--reps", "5"]
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == 0
+    *measurements, summary = jlines(out)
+    rtfs = sorted(m["rtf"] for m in measurements)
+    assert summary["median_rtf"] <= summary["p90_rtf"]
+    assert summary["p90_rtf"] == rtfs[8]  # nearest rank: the 9th of 10
+    assert summary["peak_rss_mib"] > 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.search(r"p90 rtf [0-9.]+, .*peak RSS [0-9.]+ MiB", out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 70])  # 0.9 * 70 rounds above 63
+def test_p90_is_the_nearest_rank(n):
+    values = list(range(n, 0, -1))
+    assert cli._p90(values) == -(-9 * n // 10)  # the ceil(0.9 n)-th smallest
+    assert cli._p90(values) >= statistics.median(values)
 
 
 def test_bench_single_clip(capsys, tiny_model_dir, wav_dir):
@@ -525,14 +561,7 @@ def test_corpus_convert_parallel_same_manifest(capsys, tmp_path):
 
 
 def test_corpus_convert_workers_write_same_bytes(capsys, tmp_path):
-    src = tmp_path / "raw"
-    src.mkdir()
-    for rate, channels in ((8000, 1), (22050, 2), (44100, 2), (48000, 1),
-                           (16000, 1), (11025, 3)):
-        name = f"r{rate}c{channels}"
-        write_wav(src / f"{name}.wav", tone(0.3, rate=rate), rate=rate,
-                  channels=channels)
-        (src / f"{name}.txt").write_text(name)
+    src = mixed_rate_folder(tmp_path / "raw")
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}"

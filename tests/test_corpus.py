@@ -19,7 +19,8 @@ from scribo.corpus import (CleaningReport, CorpusStats, DatasetItem,
 from scribo.errors import AudioFormatError, DatasetError, ScriboError
 from scribo.features import load_wav
 
-from conftest import raw_wav, tone, write_wav
+from conftest import (WIDE_PCM, fuzzed, raw_wav, run_quietly, tone, write_twins,
+                      write_wav)
 
 
 def item(duration, text="hello there", filepath="x.wav", speaker=None):
@@ -143,6 +144,36 @@ def test_lowpass_cache_stays_bounded(tmp_path):
     assert info.currsize == info.maxsize == 4
 
 
+# ------------------------------------------------- big-endian and 64-bit PCM
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("name", sorted(WIDE_PCM))
+def test_convert_rifx_and_64_bit_like_native_twin(tmp_path, name, channels, rate):
+    native, wide, _ = write_twins(tmp_path, name, rate, channels)
+    assert wavfile.read(wide)[1].dtype == np.dtype(WIDE_PCM[name][0])
+    got = convert_audio(wide, tmp_path / "got.wav")
+    assert got == convert_audio(native, tmp_path / "want.wav")
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PCM))
+def test_wav_readers_refuse_or_read_rifx_and_64_bit(tmp_path, name):
+    _, wide, pcm = write_twins(tmp_path, name, 16000, 1)
+    try:
+        clip = load_wav(wide)
+    except AudioFormatError:
+        pass
+    else:
+        assert np.array_equal(clip.samples, pcm[:, 0] / np.float32(32768.0))
+    try:
+        duration = probe_duration(wide)
+    except AudioFormatError:
+        pass
+    else:
+        assert duration == len(pcm) / 16000
+
+
 # ------------------------------------------------------------ malformed WAVs
 
 _FLOAT_NAN = np.array([0.0, np.nan], dtype=np.float32).tobytes()
@@ -218,6 +249,28 @@ def test_wav_readers_fuzz(tmp_path_factory, base, edits, keep):
 
 # ------------------------------------------------------------------ readers
 
+_MANIFEST_BASES = (
+    b"duration\tfilepath\ttext\tspeaker\n1.500\ta.wav\thallo welt\tspk1\n"
+    b"2.000\tb.wav\tguten tag\t\n",
+    b"duration\tfilepath\ttext\n0.750\tclips/c.wav\tnull acht f\xc3\xbcnfzehn\n",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=fuzzed(*_MANIFEST_BASES))
+def test_read_manifest_fuzz(tmp_path_factory, blob):
+    """Any bytes read or raise DatasetError; `corpus stats` exits 0 on
+    what reads and 2 on what does not."""
+    src = tmp_path_factory.mktemp("manifest") / "dataset.tsv"
+    src.write_bytes(blob)
+    try:
+        read_manifest(src)
+        want = 0
+    except ScriboError:
+        want = 2
+    assert run_quietly("corpus", "stats", "--manifest", str(src))[0] == want
+
+
 def test_read_commonvoice_mapping(tmp_path):
     tsv = tmp_path / "validated.tsv"
     tsv.write_text(
@@ -280,6 +333,13 @@ def test_read_unknown_format(tmp_path):
 def test_read_missing_metadata(tmp_path):
     with pytest.raises(DatasetError):
         read_dataset("commonvoice-tsv", tmp_path / "absent.tsv")
+
+
+def test_read_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
+    f = tmp_path / "m.tsv"
+    f.write_bytes(b"duration\tfilepath\ttext\n1.0\ta.wav\t\xff\n")
+    with pytest.raises(DatasetError, match="cannot read"):
+        read_manifest(f)
 
 
 def test_read_manifest_rejects_alien_header(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scribo import features
 from scribo.errors import AudioFormatError
 from scribo.features import (AudioClip, FeatureConfig, load_wav, logmel,
                              mel_filterbank, normalize_features)
@@ -184,6 +185,15 @@ def test_frame_count_matches_output(n):
         want = 0
     assert feats.shape == (want, cfg.mel_bins)
     assert cfg.frame_count(n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 320, 400, 512])
+def test_hann_window_is_bitwise_scipy_get_window(n):
+    from scipy.signal import get_window
+
+    window = features._hann(n)
+    assert window.dtype == np.float64
+    assert np.array_equal(window, get_window("hann", n, fftbins=True))
 
 
 def whole_clip_logmel(clip, cfg):

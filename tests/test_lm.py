@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scribo.errors import ArpaError
+from scribo.errors import ArpaError, ScriboError
 from scribo.lm import NgramModel, parse_arpa, prune_model, serialize_arpa
 
-from conftest import TOY_ARPA
+from conftest import TOY_ARPA, fuzzed, run_quietly
 
 # toy model probabilities, hand-derived (see conftest for the mass layout)
 P_A = math.log10(0.4)
@@ -89,6 +89,19 @@ def test_parse_count_mismatch(tmp_path):
 def test_parse_non_numeric_probability(tmp_path):
     p = tmp_path / "bad.arpa"
     p.write_text(TOY_ARPA.replace(f"{P_AB}\ta b", "oops\ta b"))
+    with pytest.raises(ArpaError):
+        parse_arpa(p)
+
+
+@pytest.mark.parametrize("bad", [
+    TOY_ARPA.replace("ngram 2=2", "ngram 2=2\nngram 99999999999999=0").encode(),
+    TOY_ARPA.replace("ngram 2=2", "ngram 2=" + "2" * 5000).encode(),
+    TOY_ARPA.replace("ngram 1=4", "ngram 0=4").encode(),
+    TOY_ARPA.encode().replace(b"\ta\t", b"\t\xe4\t"),  # Latin-1, not UTF-8
+], ids=["huge-order", "count-digits", "order-zero", "not-utf8"])
+def test_parse_rejects_bad_header_or_encoding(tmp_path, bad):
+    p = tmp_path / "bad.arpa"
+    p.write_bytes(bad)
     with pytest.raises(ArpaError):
         parse_arpa(p)
 
@@ -348,3 +361,33 @@ def _cached_toy() -> NgramModel:
         finally:
             os.unlink(name)
     return _TOY_CACHE["m"]
+
+
+# ------------------------------------------------------------------ fuzzing
+
+def _entries(model: NgramModel) -> dict:
+    """Tables keyed by token strings, floats by repr (so NaN compares)."""
+    return {k: {tuple(model.id_to_token[i] for i in key): (repr(p), repr(b))
+                for key, (p, b) in table.items()}
+            for k, table in model.tables.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=fuzzed(TOY_ARPA.encode(), WORDS_ARPA.encode()))
+def test_parse_arpa_fuzz(tmp_path_factory, blob):
+    """Any bytes parse or raise ArpaError; what parses survives a
+    serialize -> parse round trip, and a file that does not parse makes
+    `lm score` exit 2."""
+    d = tmp_path_factory.mktemp("arpa")
+    src = d / "fuzz.arpa"
+    src.write_bytes(blob)
+    try:
+        model = parse_arpa(src)
+    except ScriboError:
+        assert run_quietly("lm", "score", "--arpa", str(src), "--text", "a b")[0] == 2
+        return
+    serialize_arpa(model, d / "again.arpa")
+    again = parse_arpa(d / "again.arpa")
+    assert again.order == model.order
+    assert _entries(again) == _entries(model)
+    assert run_quietly("lm", "score", "--arpa", str(src), "--text", "a b")[0] == 0

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scribo import net
-from scribo.errors import WeightError
+from scribo.errors import ScriboError, WeightError
 from scribo.ctcdecoder import greedy_decode
 from scribo.features import (AudioClip, FeatureConfig, load_wav, logmel,
                              normalize_features)
 from scribo.textnorm import ALPHABETS, AlphabetSpec
 
-from conftest import small_config, tone, write_wav
+from conftest import fuzzed, run_quietly, small_config, tone, write_wav
 from net_reference import reference_forward
 
 
@@ -687,6 +687,9 @@ def test_read_rejects_non_object_manifest(tmp_path):
     {"shape": [2], "offset": "zero"},
     {"name": ["x"]},
     {"shape": [-1], "length": -4},
+    {"shape": [float("inf")]},
+    {"shape": [2 ** 32, 2 ** 32], "length": 0},  # wraps to 0 in int64
+    {"shape": [1] * 65, "length": 4},  # more dimensions than numpy has
 ])
 def test_read_rejects_bad_tensor_entry(tmp_path, entry):
     net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
@@ -695,6 +698,42 @@ def test_read_rejects_bad_tensor_entry(tmp_path, entry):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(WeightError):
         net.read_tensor_blob(tmp_path)
+
+
+@pytest.mark.parametrize("text", ['{"tensors": [], "x": 1' + "0" * 5000 + "}",
+                                  "[" * 100000 + "]" * 100000])
+def test_read_rejects_unparsable_manifest(tmp_path, text):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(WeightError, match="invalid JSON"):
+        net.read_tensor_blob(tmp_path)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("prologue", "stride", 0),
+    ("prologue", "dilation", 2.5),
+    ("prologue", "kernel", "5"),
+    ("prologue", "channels", True),
+    ("blocks", "repeats", None),
+    ("blocks", "repeats", 10 ** 30),  # refused before its plan is built
+    ("blocks", "sub_blocks", 10 ** 30),
+    ("net", "vocab_size", 28.0),
+    ("features", "fft_size", 500.0),
+    ("features", "mel_bins", True),
+    ("features", "log_epsilon", "tiny"),
+    ("alphabet", "blank_index", float("inf")),
+])
+def test_load_rejects_bad_config_value(tiny_model_dir, tmp_path, section, key, value):
+    manifest = json.loads((tiny_model_dir / net.MANIFEST_NAME).read_text())
+    if section in ("prologue", "blocks"):
+        spec = manifest["net"][section]
+        (spec[0] if section == "blocks" else spec)[key] = value
+    else:
+        manifest[section][key] = value
+    (tmp_path / net.MANIFEST_NAME).write_text(json.dumps(manifest))
+    (tmp_path / net.BLOB_NAME).write_bytes((tiny_model_dir / net.BLOB_NAME).read_bytes())
+    with pytest.raises(WeightError):
+        net.load_weights(tmp_path)
 
 
 # sha256 over (name, float32 bytes) of random_weights(small_config(), seed=0),
@@ -715,3 +754,35 @@ def test_random_weights_draw_stream_is_pinned():
 def test_adapt_policy_mode_follows_mapping():
     assert net.AdaptPolicy(mapping=(("a", "a"), ("b", None))).mode == "extend"
     assert net.AdaptPolicy(mapping=(("a", "a"),)).mode == "shrink"
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tiny_model_dir, tmp_path_factory):
+    """The tiny model's manifest and blob bytes, and a clip to transcribe."""
+    wav = write_wav(tmp_path_factory.mktemp("clip") / "clip.wav", tone(0.3))
+    return ((tiny_model_dir / net.MANIFEST_NAME).read_bytes(),
+            (tiny_model_dir / net.BLOB_NAME).read_bytes(), wav)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_tensor_blob_fuzz(fuzz_base, tmp_path_factory, data):
+    """A mutated manifest.json and a truncated or flipped weights.bin: the
+    reader returns or raises WeightError, and `transcribe --model` exits
+    2 when it raises (0 or 2 when it reads)."""
+    manifest, blob, wav = fuzz_base
+    manifest = data.draw(st.one_of(st.just(manifest), fuzzed(manifest)), "manifest")
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob) - 1)), "truncate")
+    flip = data.draw(st.one_of(st.none(), st.integers(0, len(blob) - 1)), "flip")
+    blob = bytearray(blob[:cut])
+    if flip is not None and flip < len(blob):
+        blob[flip] ^= 0x01
+    d = tmp_path_factory.mktemp("blob")
+    (d / net.MANIFEST_NAME).write_bytes(manifest)
+    (d / net.BLOB_NAME).write_bytes(bytes(blob))
+    try:
+        net.read_tensor_blob(d)
+        allowed = (0, 2)
+    except ScriboError:
+        allowed = (2,)
+    assert run_quietly("transcribe", "--model", str(d), "--wav", str(wav))[0] in allowed

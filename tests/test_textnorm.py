@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scribo.errors import RuleFileError
+from scribo.errors import RuleFileError, ScriboError
 from scribo.textnorm import (ALPHABETS, AlphabetSpec, NormRules, load_rules,
                              normalize_text, number_to_words, shipped_rules,
                              transliterate)
+
+from conftest import fuzzed, run_quietly
 
 EN = ALPHABETS["en"]
 DE_RULES = shipped_rules("de")
@@ -67,6 +69,20 @@ def test_load_rules_bad_replacement_type(tmp_path):
 def test_load_rules_unknown_key(tmp_path):
     f = tmp_path / "r.json"
     f.write_text(json.dumps({"replacments": []}))
+    with pytest.raises(RuleFileError):
+        load_rules(f)
+
+
+@pytest.mark.parametrize("text", [
+    '{"replacements": 5}',
+    '{"replacements": null}',
+    '{"lowercase": 1' + "0" * 5000 + "}",  # more digits than int() converts
+    "[" * 100000 + "]" * 100000,
+    b"\xff\xfe{}",
+])
+def test_load_rules_rejects_unreadable_file(tmp_path, text):
+    f = tmp_path / "r.json"
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(RuleFileError):
         load_rules(f)
 
@@ -243,3 +259,25 @@ def test_normalize_closure_and_digit_free(text):
     assert not re.search(r"\d", out)
     assert out == out.strip()
     assert "  " not in out
+
+
+_RULE_BASES = (
+    json.dumps({"replacements": [["ä", "ae"], ["ß", "ss"]], "units": {"km": "kilometer"},
+                "number_language": "de", "lowercase": True}).encode(),
+    b'{"replacements": [], "units": {}}',
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=fuzzed(*_RULE_BASES))
+def test_load_rules_fuzz(tmp_path_factory, blob):
+    """Any bytes load or raise RuleFileError; `normalize --rules` exits 0
+    on what loads and 2 on what does not."""
+    src = tmp_path_factory.mktemp("rules") / "rules.json"
+    src.write_bytes(blob)
+    try:
+        load_rules(src)
+        want = 0
+    except ScriboError:
+        want = 2
+    assert run_quietly("normalize", "--rules", str(src), "--text", "Die Straße, km")[0] == want
