@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import lm as lm_mod
 from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
@@ -150,15 +148,10 @@ def transcribe(model: LoadedModel, wav_path, chunk: float | None = None,
     stages: dict[str, float] = {}
     if chunk is None:
         t0 = time.perf_counter()
-        feats = logmel(clip, model.features)
-        if feats.shape[0] >= 2:
-            feats = normalize_features(feats)
+        feats = normalize_features(logmel(clip, model.features))
         stages["features"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        if feats.shape[0] == 0:
-            logits = np.zeros((0, model.net.vocab_size + 1), dtype=np.float32)
-        else:
-            logits = forward(model.net, model.weights, feats)
+        logits = forward(model.net, model.weights, feats)
         stages["forward"] = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()

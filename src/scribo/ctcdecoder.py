@@ -77,10 +77,7 @@ def greedy_decode(logits, alphabet: AlphabetSpec) -> str:
 
     Frame ties go to the lower label index (argmax convention).
     """
-    logits = _check_width(logits, alphabet)
-    if logits.shape[0] == 0:
-        return ""
-    path = np.argmax(logits, axis=1)
+    path = np.argmax(_check_width(logits, alphabet), axis=1)
     labels = collapse(path.tolist(), alphabet.blank_index)
     return "".join(alphabet.symbols[i] for i in labels)
 

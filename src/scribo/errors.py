@@ -4,6 +4,7 @@ Everything raised on bad input data derives from ScriboError so the CLI
 can map it to a data-error exit code. Contract violations by callers
 (wrong shapes, bad arguments) raise plain ValueError.
 """
+import json
 
 
 class ScriboError(Exception):
@@ -28,3 +29,15 @@ class ArpaError(ScriboError):
 
 class WeightError(ScriboError):
     """Weight manifest/blob is missing tensors, mis-shaped or corrupt."""
+
+
+def read_json(path, error: type[ScriboError]):
+    """The parsed content of a JSON file; ``error`` naming the file if it
+    is not JSON. A missing or unreadable file raises OSError as usual."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal
+        # longer than int() converts; RecursionError deep nesting
+        raise error(f"{path}: invalid JSON: {exc}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,15 +86,7 @@ class FeatureConfig:
         return 1 + (n_samples - self.window_samples) // self.hop_samples
 
     def to_dict(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "hop_length": self.hop_length,
-            "fft_size": self.fft_size,
-            "mel_bins": self.mel_bins,
-            "fmin": self.fmin,
-            "fmax": self.fmax,
-            "log_epsilon": self.log_epsilon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
@@ -203,11 +195,15 @@ def logmel(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
 def normalize_features(frames: np.ndarray) -> np.ndarray:
     """Standardize each feature column to mean 0, population std 1.
 
-    Columns with std below 1e-10 are zeroed instead of divided.
+    Columns with std below 1e-10 are zeroed instead of divided. Fewer
+    than two rows have no spread to standardize by and come back
+    unchanged (as float32).
     """
     frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[0] < 2:
-        raise ValueError("need at least 2 frames to normalize")
+    if frames.ndim != 2:
+        raise ValueError("features must be a 2-D array")
+    if frames.shape[0] < 2:
+        return frames.astype(np.float32)
     mean = frames.mean(axis=0, dtype=np.float64)
     std = frames.std(axis=0, dtype=np.float64)
     out = np.where(std < 1e-10, 0.0, (frames - mean) / np.where(std < 1e-10, 1.0, std))

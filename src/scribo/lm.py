@@ -10,6 +10,7 @@ Scores are log10 probabilities throughout, matching the on-disk format.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -163,6 +164,9 @@ def _parse_entry(line: str, k: int, highest: bool, lineno: int):
         backoff = float(tail[0]) if tail else 0.0
     except ValueError as exc:
         raise ArpaError(f"line {lineno}: non-numeric probability") from exc
+    # NaN fails both comparisons; -inf stays, a zero probability or backoff
+    if not (prob < math.inf and backoff < math.inf):
+        raise ArpaError(f"line {lineno}: log10 value must be finite or -inf")
     if prob > 0.0:
         log.warning("line %d: positive log-probability %g kept as-is", lineno, prob)
     return prob, tuple(tokens), backoff

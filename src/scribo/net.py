@@ -17,12 +17,12 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import WeightError
+from .errors import WeightError, read_json
 from .features import AudioClip, FeatureConfig, logmel, normalize_features
 from .textnorm import AlphabetSpec
 
@@ -90,21 +90,7 @@ class NetConfig:
         _check_counts(self, ("vocab_size", "input_features"))
 
     def to_dict(self) -> dict:
-        def conv(c: ConvSpec) -> dict:
-            return {"kernel": c.kernel, "channels": c.channels, "stride": c.stride,
-                    "dilation": c.dilation, "separable": c.separable}
-
-        return {
-            "vocab_size": self.vocab_size,
-            "input_features": self.input_features,
-            "prologue": conv(self.prologue),
-            "blocks": [
-                {"repeats": g.repeats, "sub_blocks": g.sub_blocks, "kernel": g.kernel,
-                 "channels": g.channels, "residual": g.residual}
-                for g in self.blocks
-            ],
-            "epilogue": [conv(c) for c in self.epilogue],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
@@ -320,13 +306,13 @@ class _Depthwise:
     """A depthwise conv that keeps only the input its next output needs.
 
     ``rows`` holds the zero-padded input from the first tap of the next
-    output row on (None stands for the left padding before the first
-    push). ``start`` is where that tap lies in the held rows followed by
-    the next push; it is nonzero only when the stride outruns the
-    kernel. A push emits every output row whose right context has
-    arrived. The last push pads on the right exactly as a whole-clip
-    pass does and emits the rest, so one last push of the whole input
-    is that pass.
+    output row on; before the first push it is the left padding, a zero
+    view with no memory of its own. ``start`` is where that tap lies in
+    the held rows followed by the next push; it is nonzero only when the
+    stride outruns the kernel. A push emits every output row whose taps
+    have all arrived. The last push first pads on the right exactly as a
+    whole-clip pass does, so one last push of the whole input is that
+    pass.
     """
 
     def __init__(self, kernel: np.ndarray, stride: int, dilation: int):
@@ -335,34 +321,26 @@ class _Depthwise:
         self.dilation = dilation
         self.span = dilation * (kernel.shape[0] - 1) + 1
         self.pad_left = (self.span - 1) // 2
-        self.rows = None  # the left padding, until the first push
+        self.rows = _zero_rows(self.pad_left, kernel.shape[1])
         self.start = 0
         self.seen = 0
-        self.emitted = 0
 
     def push(self, x: np.ndarray, last: bool) -> np.ndarray:
         self.seen += x.shape[0]
-        held = self.pad_left if self.rows is None else self.rows.shape[0]
-        pad_right = 0
+        parts = [self.rows, x]
         if last:
             t_out = -(-self.seen // self.stride)
-            pad_right = max(0, (t_out - 1) * self.stride + self.span - self.pad_left - self.seen)
-        rows = np.zeros((held + x.shape[0] + pad_right, x.shape[1]), dtype=np.float32)
-        if self.rows is not None:
-            rows[:held] = self.rows
-        rows[held:held + x.shape[0]] = x
-        if last:
-            n = t_out - self.emitted
-        else:
-            n = max(0, (rows.shape[0] - self.start - self.span) // self.stride + 1)
-        if n == 0:
-            out = np.zeros((0, x.shape[1]), dtype=np.float32)
+            pad_right = (t_out - 1) * self.stride + self.span - self.pad_left - self.seen
+            parts.append(_zero_rows(max(0, pad_right), x.shape[1]))
+        rows = np.concatenate(parts, dtype=np.float32)
+        n = max(0, (rows.shape[0] - self.start - self.span) // self.stride + 1)
+        if n == 0:  # less than one window, which sliding_window_view refuses
+            out = np.zeros((0, rows.shape[1]), dtype=np.float32)
         else:
             windows = np.lib.stride_tricks.sliding_window_view(rows[self.start:], self.span,
                                                                axis=0)
             taps = windows[::self.stride][:n][:, :, ::self.dilation]
             out = np.einsum("tck,kc->tc", taps, self.kernel)
-        self.emitted += n
         if not last:
             # Keep a copy: a view would keep the whole pushed chunk alive.
             nxt = self.start + n * self.stride
@@ -370,6 +348,11 @@ class _Depthwise:
             self.rows = rows[keep:].copy()
             self.start = nxt - keep
         return out
+
+
+def _zero_rows(n: int, channels: int) -> np.ndarray:
+    """n rows of float32 zeros as a read-only view of a single zero."""
+    return np.broadcast_to(np.float32(0), (n, channels))
 
 
 class _Conv:
@@ -487,9 +470,9 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
             log_probs: bool = True) -> np.ndarray:
     """Run the network on a (T, input_features) matrix.
 
-    Returns ceil(T / prologue stride) rows of width vocab_size+1, as
-    log-softmax scores (or raw pre-softmax activations with
-    log_probs=False, which alphabet-adaptation comparisons rely on).
+    Returns ceil(T / prologue stride) rows (none for T = 0) of width
+    vocab_size+1, as log-softmax scores (or raw pre-softmax activations
+    with log_probs=False, which alphabet-adaptation comparisons rely on).
     This is one push of every frame that also ends the stream.
     """
     x = np.asarray(features, dtype=np.float32)
@@ -497,8 +480,6 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
         raise ValueError(
             f"features shape {x.shape} does not match input_features={cfg.input_features}"
         )
-    if x.shape[0] < 1:
-        raise ValueError("need at least one feature frame")
     x = _Stream(cfg, weights).push(x, last=True)
     return log_softmax(x) if log_probs else x
 
@@ -578,16 +559,14 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
             f"got {chunk_seconds!r}"
         )
 
-    feats = logmel(clip, feat_cfg)
+    feats = normalize_features(logmel(clip, feat_cfg))
     t = feats.shape[0]
-    if t == 0:
-        return np.zeros((0, cfg.vocab_size + 1), dtype=np.float32)
-    if t >= 2:
-        feats = normalize_features(feats)
-    step = int(min(frames, t))
+    step = int(frames)
+    # a clip with no frame still makes the one push that ends the stream
+    bounds = [0, *range(step, t, step), t]
     stream = _Stream(cfg, weights)
     return log_softmax(np.concatenate([
-        stream.push(feats[i:i + step], last=i + step >= t) for i in range(0, t, step)
+        stream.push(feats[a:b], last=b == t) for a, b in zip(bounds, bounds[1:])
     ]))
 
 
@@ -720,12 +699,7 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise WeightError(f"{manifest_path}: no manifest found")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad UTF-8 and an integer literal
-        # longer than int() converts; RecursionError deep nesting
-        raise WeightError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path, WeightError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
     blob_path = directory / BLOB_NAME

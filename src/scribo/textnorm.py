@@ -11,13 +11,12 @@ once.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import RuleFileError
+from .errors import RuleFileError, ScriboError, read_json
 
 # Token is an integer amount with "." or "," thousands separators.
 _THOUSANDS_RE = re.compile(r"^\d{1,3}(?:[.,]\d{3})+$")
@@ -61,7 +60,7 @@ class AlphabetSpec:
         return self.symbols.index(symbol)
 
     def to_dict(self) -> dict:
-        return {"symbols": list(self.symbols), "blank_index": self.blank_index}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlphabetSpec":
@@ -69,8 +68,17 @@ class AlphabetSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AlphabetSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read an alphabet file: ``{"symbols": [...]}`` with one string
+        per symbol, and optionally the ``blank_index`` that to_dict writes."""
+        raw = read_json(path, ScriboError)
+        symbols = raw.get("symbols") if isinstance(raw, dict) else None
+        if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+            raise ScriboError(f'{path}: an alphabet file must be an object '
+                              f'{{"symbols": [...]}} with one string per symbol')
+        try:
+            return cls.from_dict(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScriboError(f"{path}: invalid alphabet: {exc}") from exc
 
 
 # Latin a-z plus space and apostrophe, the usual English CTC alphabet.
@@ -108,13 +116,7 @@ def load_rules(path: str | Path) -> NormRules:
     (object token -> spoken form), ``number_language`` (string) and
     ``lowercase`` (bool, default true). Unknown keys are rejected.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad UTF-8 and an integer literal
-        # longer than int() converts; RecursionError deep nesting
-        raise RuleFileError(f"{path}: not valid JSON: {exc}") from exc
+    raw = read_json(path, RuleFileError)
     if not isinstance(raw, dict):
         raise RuleFileError(f"{path}: rule file must be a JSON object")
     unknown = set(raw) - _RULE_KEYS

@@ -321,6 +321,31 @@ def test_decode_unknown_alphabet(capsys, logit_blob):
     assert "preset" in err
 
 
+_BAD_ALPHABETS = {
+    "empty-object": b"{}",
+    "array": b"[1]",
+    "non-string-symbol": b'{"symbols": [1]}',
+    "not-utf8": b'{"symbols": ["\xe4"]}',
+}
+
+
+@pytest.mark.parametrize("content", _BAD_ALPHABETS.values(), ids=list(_BAD_ALPHABETS))
+@pytest.mark.parametrize("command", ["normalize", "decode", "adapt-alphabet"])
+def test_bad_alphabet_file_is_data_error(capsys, logit_blob, tiny_model_dir, tmp_path,
+                                        command, content):
+    path = tmp_path / "bad-alphabet.json"
+    path.write_bytes(content)
+    argv = {
+        "normalize": ["normalize", "--alphabet", str(path), "--text", "hi"],
+        "decode": ["decode", "--logits", str(logit_blob[0]), "--alphabet", str(path)],
+        "adapt-alphabet": ["adapt-alphabet", "--model", str(tiny_model_dir),
+                           "--target", str(path), "--out", str(tmp_path / "out")],
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "bad-alphabet.json" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------- transcribe
 
 def test_transcribe_human_output(capsys, tiny_model_dir, tmp_path):
@@ -381,6 +406,22 @@ def test_transcribe_model_from_environment(capsys, tiny_model_dir, tmp_path,
     wav = tmp_path / "clip.wav"
     write_wav(wav, tone(0.5))
     assert run_cli(capsys, "transcribe", "--wav", str(wav))[0] == 0
+
+
+@pytest.mark.parametrize("samples", [100, 320])
+def test_transcribe_clip_shorter_than_two_frames(capsys, tiny_model_dir, tmp_path, samples):
+    # 100 samples give no feature frame (the window is 320), 320 give one
+    wav = tmp_path / "short.wav"
+    write_wav(wav, 0.3 * np.sin(0.2 * np.arange(samples)))
+    transcripts = []
+    for chunk in ([], ["--chunk", "0.5"]):
+        code, out, _ = run_cli(capsys, "--json", "transcribe", "--model",
+                               str(tiny_model_dir), "--wav", str(wav), *chunk)
+        assert code == 0
+        transcripts.append(jlines(out)[0]["transcript"])
+    assert transcripts[0] == transcripts[1]
+    if samples == 100:
+        assert transcripts[0] == ""
 
 
 def test_transcribe_zero_length_audio(capsys, tiny_model_dir, tmp_path):

@@ -246,6 +246,13 @@ def test_normalize_idempotent():
     assert np.allclose(once, twice, atol=1e-6)
 
 
-def test_normalize_rejects_single_row():
+def test_normalize_passes_fewer_than_two_rows_through():
+    # one row has no spread to standardize by; it comes back as float32
+    row = np.arange(4, dtype=np.float64)[None, :]
+    out = normalize_features(row)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, row)
+    empty = normalize_features(np.zeros((0, 4), dtype=np.float32))
+    assert empty.shape == (0, 4) and empty.dtype == np.float32
     with pytest.raises(ValueError):
-        normalize_features(np.zeros((1, 4), dtype=np.float32))
+        normalize_features(np.zeros(4, dtype=np.float32))

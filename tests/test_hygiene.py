@@ -1,5 +1,6 @@
-"""Source hygiene: every import in a package module is used, and every
-module-level private name is read somewhere in the package.
+"""Source hygiene: every import in a package module is used, every
+module-level private name is read somewhere in the package, and every
+name the benchmark's traced mode patches exists.
 
 No linter ships with the toolchain, so this check stands in for one.
 ``__init__.py`` is exempt from the import check: its imports are the
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scribo"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scribo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -78,3 +80,26 @@ def test_checker_flags_only_the_unread_privates():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def trace_target_names(source: str) -> list[tuple[str, str]]:
+    """(module name, attribute) pairs listed by ``trace_targets()``."""
+    tree = ast.parse(source)
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "trace_targets"]
+    (ret,) = [node for node in ast.walk(func) if isinstance(node, ast.Return)]
+    return [(entry.elts[0].id, entry.elts[1].value) for entry in ret.value.elts]
+
+
+def test_perfbench_trace_targets_exist():
+    # perfbench/measure.py loads scipy, so it is read, not imported; a
+    # name missing here makes every traced benchmark run fail
+    from scribo import cli, net
+
+    source = (ROOT / "perfbench" / "measure.py").read_text(encoding="utf-8")
+    targets = trace_target_names(source)
+    assert targets
+    modules = {"cli": cli, "net": net}
+    missing = [f"{mod}.{attr}" for mod, attr in targets
+               if mod not in modules or not hasattr(modules[mod], attr)]
+    assert missing == []

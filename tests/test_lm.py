@@ -93,6 +93,47 @@ def test_parse_non_numeric_probability(tmp_path):
         parse_arpa(p)
 
 
+# (entry of WORDS_ARPA, the same entry with {} for the bad value, its line)
+_VALUE_SLOTS = {
+    "unigram": ("-1.0\tdog", "{}\tdog", 8),
+    "backoff": ("-0.5\tthe\t-0.2", "-0.5\tthe\t{}", 6),
+    "bigram": ("-0.301\tthe cat", "{}\tthe cat", 12),
+}
+
+
+@pytest.mark.parametrize("slot", _VALUE_SLOTS)
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "+nan", "inf", "+inf", "INF",
+                                   "Infinity", "+infinity", "1e999"])
+def test_parse_rejects_nan_and_positive_infinity(tmp_path, slot, value):
+    entry, bad, lineno = _VALUE_SLOTS[slot]
+    p = tmp_path / "bad.arpa"
+    p.write_text(WORDS_ARPA.replace(entry, bad.format(value)))
+    with pytest.raises(ArpaError, match=f"^line {lineno}: "):
+        parse_arpa(p)
+    assert run_quietly("lm", "score", "--arpa", str(p), "--text", "the dog")[0] == 2
+    code, err = run_quietly("lm", "ppl", "--arpa", str(p), "--text", "the dog")
+    assert code == 2 and f"line {lineno}" in err
+
+
+@pytest.mark.parametrize("slot", ["unigram", "backoff"])
+def test_parse_keeps_negative_infinity(tmp_path, slot):
+    # log10 of a zero probability or backoff weight
+    entry, bad, _ = _VALUE_SLOTS[slot]
+    p = tmp_path / "zero.arpa"
+    p.write_text(WORDS_ARPA.replace(entry, bad.format("-inf")))
+    model = parse_arpa(p)
+    assert model.score_word(["the"], "dog") == -math.inf
+    out = tmp_path / "round.arpa"
+    serialize_arpa(model, out)
+    again = parse_arpa(out)
+
+    def entries(m):
+        return {tuple(m.id_to_token[i] for i in key): value
+                for table in m.tables.values() for key, value in table.items()}
+
+    assert entries(again) == entries(model)
+
+
 @pytest.mark.parametrize("bad", [
     TOY_ARPA.replace("ngram 2=2", "ngram 2=2\nngram 99999999999999=0").encode(),
     TOY_ARPA.replace("ngram 2=2", "ngram 2=" + "2" * 5000).encode(),

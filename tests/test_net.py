@@ -44,6 +44,16 @@ def test_netconfig_dict_round_trip(small_cfg):
     assert net.NetConfig.from_dict(small_cfg.to_dict()) == small_cfg
 
 
+def test_saved_manifest_text_is_pinned(tmp_path):
+    # The config sections of a model manifest, byte for byte: a change to
+    # how NetConfig, FeatureConfig or AlphabetSpec serialize shows here.
+    # No tensors, so the blob checksum is that of zero bytes.
+    path = net.save_weights(tmp_path, net.quartznet15x5(28), net.NetworkWeights({}),
+                            FeatureConfig(), ALPHABETS["en"], name="qn")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "2d1c80c1214262ebf8398a0cf383803e00035117e3c5d8a237d36e51b1c0ff29"
+
+
 def test_block_group_needs_a_sub_block():
     with pytest.raises(ValueError, match="sub_blocks"):
         net.BlockGroup(repeats=1, sub_blocks=0, kernel=3, channels=4)
@@ -169,10 +179,12 @@ def test_forward_width_mismatch(small_net):
         net.forward(cfg, weights, np.zeros((10, 9), dtype=np.float32))
 
 
-def test_forward_empty_input_rejected(small_net):
+def test_forward_empty_input_gives_empty_logits(small_net):
     cfg, weights = small_net
-    with pytest.raises(ValueError):
-        net.forward(cfg, weights, np.zeros((0, 8), dtype=np.float32))
+    for log_probs in (True, False):
+        out = net.forward(cfg, weights, np.zeros((0, 8), dtype=np.float32), log_probs)
+        assert out.shape == (0, cfg.vocab_size + 1)
+        assert out.dtype == np.float32
 
 
 def test_forward_zero_gamma_is_input_independent(small_cfg):
@@ -457,13 +469,25 @@ def test_streaming_strided_prologue_matches_forward(kernel, stride, dilation):
     rng = np.random.default_rng(kernel * 10 + stride)
     for t in (1, 2, 5, 13, 31):
         feats = rng.normal(0, 1, (t, 4)).astype(np.float32)
+        empty = feats[:0]
         full = net.forward(cfg, weights, feats, log_probs=False)
         for step in (1, 2, 3, 7):
-            stream = net._Stream(cfg, weights)
-            out = np.concatenate([stream.push(feats[i:i + step], last=i + step >= t)
-                                  for i in range(0, t, step)])
-            assert out.shape == full.shape
-            assert float(np.abs(out - full).max()) <= 1e-4
+            # an empty push before every chunk; the last flag goes on the
+            # final chunk or on one more empty push
+            for empty_last in (False, True):
+                stream = net._Stream(cfg, weights)
+                outs = []
+                for i in range(0, t, step):
+                    outs.append(stream.push(empty, last=False))
+                    outs.append(stream.push(feats[i:i + step],
+                                            last=i + step >= t and not empty_last))
+                if empty_last:
+                    outs.append(stream.push(empty, last=True))
+                out = np.concatenate(outs)
+                assert out.shape == full.shape
+                assert float(np.abs(out - full).max()) <= 1e-4
+    only_empty = net._Stream(cfg, weights).push(np.zeros((0, 4), dtype=np.float32), last=True)
+    assert only_empty.shape == (0, cfg.vocab_size + 1)
 
 
 # -------------------------------------------------------------- adaptation

@@ -41,6 +41,45 @@ def test_alphabet_dict_round_trip():
     assert AlphabetSpec.from_dict(al.to_dict()) == al
 
 
+def test_alphabet_json_round_trip(tmp_path):
+    path = tmp_path / "es.json"
+    path.write_text(json.dumps(ALPHABETS["es"].to_dict()), encoding="utf-8")
+    assert AlphabetSpec.from_json(path) == ALPHABETS["es"]
+
+
+@pytest.mark.parametrize("content", [
+    b"{}", b"[1]", b'{"symbols": [1]}', b'{"symbols": "ab"}', b'{"symbols": ["ab"]}',
+    b'{"symbols": [["a"]]}', b'{"symbols": ["a"], "blank_index": 1e400}',
+    b'{"symbols": ["a"], "blank_index": 0}', b"\xff\xfe", b"{",
+], ids=repr)
+def test_alphabet_json_rejects_malformed_file(tmp_path, content):
+    path = tmp_path / "alphabet.json"
+    path.write_bytes(content)
+    with pytest.raises(ScriboError, match="alphabet.json"):
+        AlphabetSpec.from_json(path)
+
+
+_ALPHABET_BASES = (
+    json.dumps(EN.to_dict()).encode(),
+    '{"symbols": ["a", "ñ", " "]}'.encode(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=fuzzed(*_ALPHABET_BASES))
+def test_alphabet_json_fuzz(tmp_path_factory, blob):
+    """Any bytes give an AlphabetSpec or a ScriboError; `normalize
+    --alphabet` exits 0 on what loads and 2 on what does not."""
+    src = tmp_path_factory.mktemp("alphabet") / "alphabet.json"
+    src.write_bytes(blob)
+    try:
+        assert isinstance(AlphabetSpec.from_json(src), AlphabetSpec)
+        want = 0
+    except ScriboError:
+        want = 2
+    assert run_quietly("normalize", "--alphabet", str(src), "--text", "hi")[0] == want
+
+
 # --------------------------------------------------------------- rule files
 
 def test_load_rules_minimal(tmp_path):
