@@ -110,10 +110,29 @@ def _fractions(text: str) -> list[float]:
     return parts
 
 
+def _workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return n
+
+
+def _map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when above 1."""
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _decode_params(args) -> DecodeParams | None:
     """None means greedy decoding."""
-    use_beam = args.decoder == "beam" or (args.decoder == "auto" and args.arpa)
-    if not use_beam:
+    if args.decoder == "greedy" and args.arpa:
+        raise _UsageError("--arpa needs the beam decoder; drop --decoder greedy or --arpa")
+    if not (args.decoder == "beam" or args.arpa):
         return None
     model = lm_mod.parse_arpa(args.arpa) if args.arpa else None
     return DecodeParams(beam_width=args.beam_width, alpha=args.alpha,
@@ -178,8 +197,9 @@ def _report_line(report: RtfReport) -> str:
 
 
 def cmd_transcribe(args) -> int:
+    params = _decode_params(args)
     model = load_weights(_model_dir(args))
-    text, report = transcribe(model, args.wav, args.chunk, _decode_params(args))
+    text, report = transcribe(model, args.wav, args.chunk, params)
     obj = {"transcript": text, **report.to_dict()}
     _emit(args, obj, f"{text}\n{_report_line(report)}")
     return 0
@@ -199,25 +219,18 @@ def _peak_rss_mib() -> float:
 
 
 def cmd_bench(args) -> int:
+    params = _decode_params(args)
     model = load_weights(_model_dir(args))
     manifest = Path(args.manifest)
     items = corpus_mod.read_manifest(manifest)
     if not items:
         raise ScriboError(f"{manifest}: empty manifest, nothing to benchmark")
-    params = _decode_params(args)
     paths = [manifest.parent / it.filepath for it in items]
 
     transcribe(model, paths[0], args.chunk, params)  # warm-up, excluded
-
-    def one(path) -> tuple[str, RtfReport]:
-        return transcribe(model, path, args.chunk, params)
-
     jobs = [p for _ in range(args.reps) for p in paths]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(p) for p in jobs]
+    results = _map(lambda path: transcribe(model, path, args.chunk, params), jobs,
+                   args.workers)
 
     rtfs = [rep.rtf for _, rep in results]
     total_audio = sum(rep.clip_duration for _, rep in results)
@@ -265,11 +278,7 @@ def cmd_corpus_convert(args) -> int:
         duration = corpus_mod.convert_audio(corpus_mod._audio_path(base, item.filepath), dst)
         return corpus_mod.DatasetItem(rel, item.text, duration, item.speaker)
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            converted = list(pool.map(convert, items))
-    else:
-        converted = [convert(it) for it in items]
+    converted = _map(convert, items, args.workers)
 
     manifest = corpus_mod.write_dataset(converted, "manifest-csv", out)
     sidecar = {"resampler": corpus_mod.RESAMPLE_METHOD,
@@ -395,12 +404,12 @@ def cmd_lm_prune(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    params = _decode_params(args)
     tensors, _ = read_tensor_blob(args.logits)
     if "logits" not in tensors:
         raise WeightError(f"{args.logits}: blob has no tensor named 'logits'")
     logits = tensors["logits"]
     alphabet = _load_alphabet(args.alphabet)
-    params = _decode_params(args)
     if params is None:
         text = greedy_decode(logits, alphabet)
         _emit(args, {"transcript": text}, text)
@@ -477,7 +486,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", required=True, choices=corpus_mod.READ_FORMATS)
     p.add_argument("--in", dest="src", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=cmd_corpus_convert)
 
     p = csub.add_parser("clean", help="apply the six exclusion metrics")
@@ -559,7 +568,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--chunk", type=float)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
 
@@ -577,7 +586,8 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError:
+    except _UsageError as exc:
+        print(f"scribo: error: {exc}", file=sys.stderr)
         return 1
     except ScriboError as exc:
         print(f"error: {exc}", file=sys.stderr)

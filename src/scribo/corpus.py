@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, DatasetError
+from .features import _open_wave
 
 log = logging.getLogger(__name__)
 
@@ -99,28 +100,13 @@ _PCM_SCALE = {
 }
 
 
-def _to_float(samples: np.ndarray) -> np.ndarray:
-    out = samples.astype(np.float64)
-    scale = _PCM_SCALE.get((samples.dtype.kind, samples.dtype.itemsize))
-    if scale is not None:
-        offset, full = scale
-        if offset:
-            out -= offset
-        out /= full
-    return out
-
-
 def probe_duration(path) -> float:
     """Duration in seconds from the WAV header, without decoding."""
-    try:
-        with wave.open(str(path), "rb") as wf:
-            rate = wf.getframerate()
-            if rate <= 0:
-                raise AudioFormatError(f"{path}: bad sample rate in header")
-            return wf.getnframes() / rate
-    except (wave.Error, EOFError, OSError, struct.error, RuntimeError) as exc:
-        # wave raises a bare RuntimeError when a chunk's size runs past EOF
-        raise AudioFormatError(f"{path}: cannot probe duration: {exc}") from exc
+    with _open_wave(path) as wf:
+        rate = wf.getframerate()
+        if rate <= 0:
+            raise AudioFormatError(f"{path}: bad sample rate in header")
+        return wf.getnframes() / rate
 
 
 def _write_pcm16(path, samples: np.ndarray) -> None:
@@ -137,16 +123,20 @@ def _downmix(data: np.ndarray) -> np.ndarray:
     Integer PCM of up to 32 bits is summed column by column as float64
     and scaled once. Every partial sum is an integer below 2**47 (at most
     65535 channels of 32-bit samples), so it is exact, the one rounding
-    left is the final division, and the result equals
-    ``_to_float(data).mean(axis=1)`` bit for bit. 64-bit samples do not
-    fit float64's 53-bit significand, so they take that scaled mean:
-    each sample rounds once, by less than 2**-53 of full scale, far below
-    the 16-bit output step. Float input keeps the mean too: for 9 or more
-    channels its pairwise order differs from a column loop.
+    left is the final division, and the result equals the mean of the
+    per-sample scaled channels bit for bit. 64-bit samples do not fit
+    float64's 53-bit significand, so they take that scaled mean: each
+    sample rounds once, by less than 2**-53 of full scale, far below the
+    16-bit output step. Float input keeps the mean too: for 9 or more
+    channels its pairwise order differs from a column loop. Mono is one
+    column.
     """
     scale = _PCM_SCALE.get((data.dtype.kind, data.dtype.itemsize))
     if scale is None or data.dtype.itemsize > 4:
-        return _to_float(data).mean(axis=1)
+        out = data.astype(np.float64)
+        if scale is not None:  # 64-bit PCM, offset 0
+            out /= scale[1]
+        return out.mean(axis=1)
     offset, full = scale
     channels = data.shape[1]
     mono = data[:, 0].astype(np.float64)
@@ -207,22 +197,18 @@ def convert_audio(src_path, dst_path) -> float:
     if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
         raise AudioFormatError(f"{src_path}: float samples include NaN or infinity")
 
-    if data.ndim == 2:
-        mono = _downmix(data)
-    elif (data.dtype.kind, data.dtype.itemsize) == ("i", 2) and rate == TARGET_RATE:
-        # conformant input in either byte order: copy the samples through
-        _write_pcm16(dst_path, data)
-        return len(data) / TARGET_RATE
-    else:
-        mono = _to_float(data)
+    if data.ndim == 1:
+        if (data.dtype.kind, data.dtype.itemsize) == ("i", 2) and rate == TARGET_RATE:
+            # conformant input in either byte order: copy the samples through
+            _write_pcm16(dst_path, data)
+            return len(data) / TARGET_RATE
+        data = data[:, None]
+    mono = _downmix(data)
     # free the raw samples before resampling: kept to the end, they raise
     # each conversion's peak heap by their size, and the allocator then
     # trims and re-grows the heap on every long file
     del data
 
-    if len(mono) == 0:
-        _write_pcm16(dst_path, np.zeros(0, dtype=np.int16))
-        return 0.0
     if rate != TARGET_RATE:
         g = math.gcd(TARGET_RATE, int(rate))
         up, down = TARGET_RATE // g, rate // g

@@ -8,7 +8,9 @@ travels with saved model weights.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
+import struct
 import wave
 from dataclasses import asdict, dataclass
 
@@ -93,6 +95,21 @@ class FeatureConfig:
         return cls(**d)
 
 
+@contextlib.contextmanager
+def _open_wave(path):
+    """The WAV reader of ``path``; a file that fails to open or read as a
+    WAV, here or in the ``with`` body, raises AudioFormatError naming it."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            yield wf
+    except (wave.Error, EOFError, struct.error, OSError) as exc:
+        raise AudioFormatError(f"{path}: not a readable WAV file: {exc!r}") from exc
+    except RuntimeError as exc:
+        # wave's chunk reader raises a bare RuntimeError when a chunk's
+        # declared size runs past the end of the file
+        raise AudioFormatError(f"{path}: chunk size runs past the end of the file") from exc
+
+
 def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file that is already PCM-16 mono 16 kHz.
 
@@ -100,27 +117,18 @@ def load_wav(path) -> AudioClip:
     problems surface at the source (corpus conversion owns resampling).
     Samples are scaled by 1/32768.
     """
-    try:
-        with wave.open(str(path), "rb") as wf:
-            channels = wf.getnchannels()
-            width = wf.getsampwidth()
-            rate = wf.getframerate()
-            declared = wf.getnframes()
-            if channels != 1:
-                raise AudioFormatError(f"{path}: expected mono, got {channels} channels")
-            if width != 2:
-                raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-            if rate != SAMPLE_RATE:
-                raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-            data = wf.readframes(declared)
-    except wave.Error as exc:
-        raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
-    except EOFError as exc:
-        raise AudioFormatError(f"{path}: truncated WAV file") from exc
-    except RuntimeError as exc:
-        # wave's chunk reader raises a bare RuntimeError when a chunk's
-        # declared size runs past the end of the file
-        raise AudioFormatError(f"{path}: chunk size runs past the end of the file") from exc
+    with _open_wave(path) as wf:
+        channels = wf.getnchannels()
+        width = wf.getsampwidth()
+        rate = wf.getframerate()
+        declared = wf.getnframes()
+        if channels != 1:
+            raise AudioFormatError(f"{path}: expected mono, got {channels} channels")
+        if width != 2:
+            raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+        if rate != SAMPLE_RATE:
+            raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+        data = wf.readframes(declared)
     if len(data) != 2 * declared:
         raise AudioFormatError(
             f"{path}: data chunk holds {len(data) // 2} samples, header declares {declared}"

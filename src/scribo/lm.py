@@ -47,8 +47,7 @@ class NgramModel:
     0.0. Do not mutate after construction.
     """
 
-    def __init__(self, order: int, tables: list[dict], id_to_token: list[str],
-                 oov_log10: float = DEFAULT_OOV_LOG10):
+    def __init__(self, order: int, tables: list[dict], id_to_token: list[str]):
         if order < 1:
             raise ValueError("model order must be >= 1")
         if len(tables) != order:
@@ -59,7 +58,6 @@ class NgramModel:
         }
         self.id_to_token = list(id_to_token)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        self.oov_log10 = oov_log10
         self.unk_id = self.token_to_id.get(UNK)
 
     # -- introspection ------------------------------------------------
@@ -67,9 +65,6 @@ class NgramModel:
     @property
     def vocab(self) -> set[str]:
         return set(self.token_to_id)
-
-    def ngram_count(self, k: int) -> int:
-        return len(self.tables[k])
 
     @property
     def total_ngrams(self) -> int:
@@ -90,7 +85,7 @@ class NgramModel:
             if entry is not None:
                 return acc + entry[0]
             if not history:
-                return acc + self.oov_log10
+                return acc + DEFAULT_OOV_LOG10
             stored = self.tables[len(history)].get(history)
             if stored is not None:
                 acc += stored[1]
@@ -100,12 +95,13 @@ class NgramModel:
         """Katz-backoff log10 p(word | history).
 
         The history is truncated to the last order-1 tokens. OOV words
-        route to <unk> when the model has one, else to the configured
-        floor; an OOV history token with no <unk> cuts the context.
+        route to <unk> when the model has one, else to the floor
+        DEFAULT_OOV_LOG10; an OOV history token with no <unk> cuts the
+        context.
         """
         wid = self.token_to_id.get(word, self.unk_id)
         if wid is None:
-            return self.oov_log10
+            return DEFAULT_OOV_LOG10
         ids: list[int] = []
         for tok in history[max(0, len(history) - (self.order - 1)):]:
             tid = self.token_to_id.get(tok, self.unk_id)
@@ -338,4 +334,4 @@ def prune_model(model: NgramModel, max_ngrams: int) -> NgramModel:
         {key: val for key, val in model.tables[k].items() if key in kept[k]}
         for k in range(1, model.order + 1)
     ]
-    return NgramModel(model.order, tables, model.id_to_token, model.oov_log10)
+    return NgramModel(model.order, tables, model.id_to_token)

@@ -54,6 +54,9 @@ class ConvSpec:
 
     def __post_init__(self):
         _check_counts(self, ("kernel", "channels", "stride", "dilation"))
+        if not self.separable and (self.kernel, self.stride, self.dilation) != (1, 1, 1):
+            raise ValueError("a pointwise conv (separable=False) needs kernel, stride "
+                             "and dilation 1")
 
 
 @dataclass(frozen=True)
@@ -302,6 +305,13 @@ def random_weights(cfg: NetConfig, seed: int = 0) -> NetworkWeights:
 # Forward
 
 
+def _bn_affine(tensors, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ``name``'s batch norm (weight set or tensor dict) as
+    y = x * scale + shift, with scale = gamma / sqrt(var + eps)."""
+    scale = tensors[f"{name}.bn.gamma"] / np.sqrt(tensors[f"{name}.bn.var"] + BN_EPS)
+    return scale, tensors[f"{name}.bn.beta"] - tensors[f"{name}.bn.mean"] * scale
+
+
 class _Depthwise:
     """A depthwise conv that keeps only the input its next output needs.
 
@@ -363,24 +373,14 @@ class _Conv:
     """
 
     def __init__(self, u: _Unit, weights: NetworkWeights, relu: bool):
-        if u.separable:
-            self.dw = _Depthwise(weights[f"{u.name}.dw"], u.stride, u.dilation)
-        elif u.stride != 1 or u.dilation != 1:
-            raise WeightError(f"unit {u.name!r}: pointwise conv must have stride/dilation 1")
-        else:
-            self.dw = None
+        self.dw = _Depthwise(weights[f"{u.name}.dw"], u.stride, u.dilation) \
+            if u.separable else None
         self.pw = weights[f"{u.name}.pw"]
         self.relu = relu
         if f"{u.name}.bn.gamma" in weights:
-            mean = weights[f"{u.name}.bn.mean"]
-            var = weights[f"{u.name}.bn.var"]
-            self.scale = weights[f"{u.name}.bn.gamma"] / np.sqrt(var + BN_EPS)
-            self.shift = weights[f"{u.name}.bn.beta"] - mean * self.scale
-        elif f"{u.name}.bias" in weights:
-            self.scale = None
-            self.shift = weights[f"{u.name}.bias"]
+            self.scale, self.shift = _bn_affine(weights, u.name)
         else:
-            raise WeightError(f"unit {u.name!r} has neither batch norm nor bias")
+            self.scale, self.shift = None, weights[f"{u.name}.bias"]
 
     def push(self, x: np.ndarray, last: bool) -> np.ndarray:
         if self.dw is not None:
@@ -500,16 +500,13 @@ def fold_batchnorm(cfg: NetConfig, weights: NetworkWeights) -> NetworkWeights:
         raise WeightError("weights carry no batch norm (already folded?)")
     tensors = dict(weights.tensors)
     for u in _all_units(cfg):
-        gname = f"{u.name}.bn.gamma"
-        if gname not in tensors:
+        if f"{u.name}.bn.gamma" not in tensors:
             continue
-        var = tensors[f"{u.name}.bn.var"]
-        if not np.all(var > 0):
+        if not np.all(tensors[f"{u.name}.bn.var"] > 0):
             raise WeightError(f"{u.name}.bn.var must be strictly positive")
-        scale = tensors[gname] / np.sqrt(var + BN_EPS)
+        scale, shift = _bn_affine(tensors, u.name)
         tensors[f"{u.name}.pw"] = (tensors[f"{u.name}.pw"] * scale).astype(np.float32)
-        bias = tensors[f"{u.name}.bn.beta"] - tensors[f"{u.name}.bn.mean"] * scale
-        tensors[f"{u.name}.bias"] = bias.astype(np.float32)
+        tensors[f"{u.name}.bias"] = shift.astype(np.float32)
         for part in _BN_PARTS:
             del tensors[f"{u.name}.bn.{part}"]
     return NetworkWeights(tensors)

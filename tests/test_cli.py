@@ -70,6 +70,37 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(capsys, "eval", "--bogus")[0] == 1
 
 
+@pytest.mark.parametrize("command", ["decode", "transcribe", "bench"])
+def test_greedy_decoder_with_arpa_is_usage_error(capsys, tmp_path, command):
+    # refused before any file is read: the ARPA file is garbage and the
+    # other inputs do not exist, either of which would be exit 2
+    arpa = tmp_path / "garbage.arpa"
+    arpa.write_text("not an arpa file\n")
+    inputs = {"decode": ["--logits", str(tmp_path / "logits"), "--alphabet", "en"],
+              "transcribe": ["--model", str(tmp_path / "model"),
+                             "--wav", str(tmp_path / "a.wav")],
+              "bench": ["--model", str(tmp_path / "model"),
+                        "--manifest", str(tmp_path / "m.tsv")]}[command]
+    code, out, err = run_cli(capsys, command, *inputs, "--decoder", "greedy",
+                             "--arpa", str(arpa))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--arpa" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["bench", "corpus convert"])
+def test_workers_below_one_is_usage_error(capsys, tmp_path, command, workers):
+    out = tmp_path / "out"
+    argv = {"bench": ["bench", "--manifest", str(tmp_path / "m.tsv")],
+            "corpus convert": ["corpus", "convert", "--format", "folder-txt",
+                               "--in", str(tmp_path / "raw"), "--out", str(out)]}[command]
+    code, _, err = run_cli(capsys, *argv, "--workers", workers)
+    assert code == 1
+    assert "worker count" in err
+    assert not out.exists()
+
+
 def test_missing_model_directory_is_data_error(capsys, tmp_path):
     wav = tmp_path / "a.wav"
     write_wav(wav, tone(0.2))
@@ -235,7 +266,7 @@ def test_lm_prune_writes_smaller_model(capsys, toy_arpa, tmp_path):
     assert obj["after"] <= 4
     pruned = lm_mod.parse_arpa(out_path)
     assert pruned.total_ngrams == obj["after"]
-    assert pruned.ngram_count(1) == 4          # unigrams survive pruning
+    assert len(pruned.tables[1]) == 4          # unigrams survive pruning
 
 
 def test_lm_score_missing_file(capsys, tmp_path):
@@ -422,6 +453,13 @@ def test_transcribe_clip_shorter_than_two_frames(capsys, tiny_model_dir, tmp_pat
     assert transcripts[0] == transcripts[1]
     if samples == 100:
         assert transcripts[0] == ""
+
+
+def test_transcribe_missing_wav_is_data_error(capsys, tiny_model_dir, tmp_path):
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(tiny_model_dir),
+                           "--wav", str(tmp_path / "gone.wav"))
+    assert code == 2
+    assert "gone.wav" in err and "Traceback" not in err
 
 
 def test_transcribe_zero_length_audio(capsys, tiny_model_dir, tmp_path):

@@ -122,6 +122,21 @@ def test_convert_matches_reference_bytes(tmp_path_factory, channels, dtype,
     assert (d / "got.wav").read_bytes() == (d / "want.wav").read_bytes()
 
 
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 44100, 48000, 16000])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dtype", ["int16", "float32"])
+def test_convert_empty_file_matches_reference_bytes(tmp_path, dtype, channels, rate):
+    # no frames at all: the sample path runs on empty arrays end to end
+    src = tmp_path / "in.wav"
+    shape = (0, channels) if channels > 1 else (0,)
+    wavfile.write(src, rate, np.zeros(shape, dtype=dtype))
+    assert wavfile.read(src)[1].shape == shape
+    got = convert_audio(src, tmp_path / "got.wav")
+    want = corpus_reference.convert_audio(src, tmp_path / "want.wav")
+    assert got == want == 0.0
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
 def test_lowpass_is_resample_poly_default_and_read_only():
     # 44.1 kHz -> 16 kHz reduces to up 160, down 441
     h = corpus._lowpass(160, 441)
@@ -198,6 +213,16 @@ def test_convert_malformed_wav_is_format_error(tmp_path, name):
     src.write_bytes(MALFORMED_WAVS[name])
     with pytest.raises(AudioFormatError, match="bad.wav"):
         convert_audio(src, tmp_path / "out.wav")
+
+
+@pytest.mark.parametrize("read", [load_wav, probe_duration], ids=["load_wav", "probe_duration"])
+@pytest.mark.parametrize("case", ["missing", "truncated header"])
+def test_wav_readers_name_the_file(tmp_path, read, case):
+    src = tmp_path / "clip.wav"
+    if case == "truncated header":
+        src.write_bytes(raw_wav(bytes(8))[:30])  # ends inside the fmt chunk
+    with pytest.raises(AudioFormatError, match="clip.wav"):
+        read(src)
 
 
 def test_chunk_past_eof_is_format_error(tmp_path):

@@ -1,5 +1,6 @@
 """Source hygiene: every import in a package module is used, every
-module-level private name is read somewhere in the package, and every
+module-level private name is read somewhere in the package, every public
+function, class and method is read outside the unit tests, and every
 name the benchmark's traced mode patches exists.
 
 No linter ships with the toolchain, so this check stands in for one.
@@ -51,19 +52,24 @@ def module_privates(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
 def unread_privates(sources: dict[str, str]) -> list[str]:
     """``module:name`` for each module-level private name that no module
     of the package reads, by name, attribute or import."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
+    read = set().union(*map(names_read, trees.values()))
     return sorted(f"{mod}:{name}" for mod, tree in trees.items()
                   for name in module_privates(tree) - read)
 
@@ -80,6 +86,54 @@ def test_checker_flags_only_the_unread_privates():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Module-level public functions and classes, and ``Class.method``
+    for each public method of a module-level class."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {n for n in names if not n.rpartition(".")[2].startswith("_")}
+
+
+def unread_publics(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module:name`` for each public definition of ``package`` that no
+    module of ``package`` or ``readers`` reads by name or attribute."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    read = set().union(*map(names_read, trees.values()),
+                       *(names_read(ast.parse(src)) for src in readers.values()))
+    return sorted(f"{mod}:{name}" for mod, tree in trees.items()
+                  for name in public_definitions(tree)
+                  if name.rpartition(".")[2] not in read)
+
+
+def test_checker_flags_only_the_unread_publics():
+    package = {
+        "a.py": "def used(): pass\ndef only_tests(): pass\n"
+                "class Model:\n    def score(self): pass\n    def count(self): pass\n"
+                "    def _own(self): pass\n    def __len__(self): return 0\n",
+        "b.py": "from a import used\nclass _Helper:\n    def run(self): pass\n"
+                "def main(): used().score()\n",
+    }
+    readers = {"bench.py": "import a\na.Model()\nmain()\n",
+               "acceptance.py": "a.only_tests()\n"}
+    assert unread_publics(package, readers) == ["a.py:Model.count", "b.py:_Helper.run"]
+    assert unread_publics(package, {**readers, "more.py": "x.count(); y.run()\n"}) == []
+
+
+def test_every_public_name_is_read_outside_the_unit_tests():
+    # ROADMAP aim 2: no public function that only tests call; the
+    # acceptance criteria and the benchmark count as callers
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = {p.name: p.read_text(encoding="utf-8")
+               for p in [*sorted((ROOT / "perfbench").glob("*.py")),
+                         ROOT / "tests" / "test_acceptance.py"]}
+    assert unread_publics(package, readers) == []
 
 
 def trace_target_names(source: str) -> list[tuple[str, str]]:

@@ -48,8 +48,8 @@ def words_model(tmp_path):
 
 def test_parse_header_and_counts(toy_model):
     assert toy_model.order == 2
-    assert toy_model.ngram_count(1) == 4
-    assert toy_model.ngram_count(2) == 2
+    assert len(toy_model.tables[1]) == 4
+    assert len(toy_model.tables[2]) == 2
     assert toy_model.total_ngrams == 6
     assert set(toy_model.vocab) == {"a", "b", "c", "<unk>"}
 
@@ -295,7 +295,7 @@ def test_prune_to_unigram_boundary(toy_model):
     pruned = prune_model(toy_model, 4)
     assert pruned.total_ngrams == 4
     assert pruned.order == toy_model.order
-    assert pruned.ngram_count(2) == 0
+    assert len(pruned.tables[2]) == 0
 
 
 def test_prune_below_unigrams_rejected(toy_model):
@@ -358,8 +358,8 @@ def test_prune_cascade_keeps_prefixes_consistent(tmp_path):
     # dropping (a,b) cascades to (a,b,c): count falls 5 -> 3
     pruned4 = prune_model(model, 4)
     assert pruned4.total_ngrams == 3
-    assert pruned4.ngram_count(2) == 0
-    assert pruned4.ngram_count(3) == 0
+    assert len(pruned4.tables[2]) == 0
+    assert len(pruned4.tables[3]) == 0
 
 
 def test_prune_exhaustive_consistency(tmp_path):
@@ -369,7 +369,7 @@ def test_prune_exhaustive_consistency(tmp_path):
     for cap in range(3, model.total_ngrams + 1):
         pruned = prune_model(model, cap)
         assert pruned.total_ngrams <= cap
-        assert pruned.ngram_count(1) == 3
+        assert len(pruned.tables[1]) == 3
         for k in range(2, pruned.order + 1):
             for key in pruned.tables[k]:
                 assert key[:-1] in pruned.tables[k - 1]

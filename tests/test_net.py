@@ -59,6 +59,34 @@ def test_block_group_needs_a_sub_block():
         net.BlockGroup(repeats=1, sub_blocks=0, kernel=3, channels=4)
 
 
+_WIDE_POINTWISE = [("kernel", 3), ("stride", 2), ("dilation", 2)]
+
+
+@pytest.mark.parametrize("key,value", _WIDE_POINTWISE)
+def test_pointwise_conv_spec_is_one_by_one(key, value):
+    net.ConvSpec(kernel=1, channels=8, separable=False)
+    with pytest.raises(ValueError, match="pointwise"):
+        net.ConvSpec(**{"kernel": 1, "channels": 8, "separable": False, key: value})
+
+
+@pytest.mark.parametrize("key,value", _WIDE_POINTWISE)
+def test_load_rejects_a_wide_pointwise_epilogue(tiny_model_dir, tmp_path, key, value):
+    manifest = json.loads((tiny_model_dir / net.MANIFEST_NAME).read_text())
+    spec = manifest["net"]["epilogue"][-1]
+    assert spec["separable"] is False
+    spec[key] = value
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / net.MANIFEST_NAME).write_text(json.dumps(manifest))
+    (model / net.BLOB_NAME).write_bytes((tiny_model_dir / net.BLOB_NAME).read_bytes())
+    with pytest.raises(WeightError, match="pointwise"):
+        net.load_weights(model)
+    wav = write_wav(tmp_path / "clip.wav", tone(0.3))
+    code, err = run_quietly("transcribe", "--model", str(model), "--wav", str(wav))
+    assert code == 2
+    assert "pointwise" in err
+
+
 # ------------------------------------------------------------- param_count
 
 def independent_param_sum(cfg):
@@ -233,6 +261,14 @@ def test_full_size_forward_is_bitwise_the_reference(tmp_path):
 
 
 # ----------------------------------------------------------------- folding
+
+def test_unit_without_batch_norm_or_bias_names_the_missing_bias(small_cfg):
+    tensors = dict(net.random_weights(small_cfg).tensors)
+    for part in ("gamma", "beta", "mean", "var"):
+        del tensors[f"b1.s2.bn.{part}"]
+    with pytest.raises(WeightError, match="b1.s2.bias"):
+        net.forward(small_cfg, net.NetworkWeights(tensors), np.zeros((4, 8), np.float32))
+
 
 def test_fold_equivalence_many_nets(small_cfg):
     worst = 0.0
