@@ -28,7 +28,7 @@ from . import corpus as corpus_mod
 from . import lm as lm_mod
 from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
 from .errors import ScriboError, WeightError
-from .features import load_wav, logmel, normalize_features
+from .features import SAMPLE_RATE, load_wav, logmel, normalize_features
 from .net import (LoadedModel, adapt_alphabet, forward, forward_streaming,
                   load_weights, make_adapt_policy, param_count, read_tensor_blob,
                   save_weights)
@@ -110,14 +110,18 @@ def _fractions(text: str) -> list[float]:
     return parts
 
 
-def _workers(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
-    return n
+def _count(what: str):
+    """An argparse type for an integer >= 1; anything else is a usage
+    error naming ``what``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= 1, got {text!r}")
+        return n
+    return parse
 
 
 def _map(fn, items, workers: int) -> list:
@@ -142,7 +146,7 @@ def _decode_params(args) -> DecodeParams | None:
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decoder", choices=("auto", "greedy", "beam"), default="auto",
                    help="auto = greedy unless --arpa is given")
-    p.add_argument("--beam-width", type=int, default=256)
+    p.add_argument("--beam-width", type=_count("beam width"), default=256)
     p.add_argument("--arpa", help="ARPA model for shallow fusion (implies beam)")
     p.add_argument("--alpha", type=float, default=0.8, help="LM weight")
     p.add_argument("--beta", type=float, default=1.0, help="word insertion bonus")
@@ -282,7 +286,7 @@ def cmd_corpus_convert(args) -> int:
 
     manifest = corpus_mod.write_dataset(converted, "manifest-csv", out)
     sidecar = {"resampler": corpus_mod.RESAMPLE_METHOD,
-               "target": "PCM-16 mono 16000 Hz", "items": len(converted)}
+               "target": f"PCM-16 mono {SAMPLE_RATE} Hz", "items": len(converted)}
     (out / "conversion.json").write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
     _emit(args, {"manifest": str(manifest), **sidecar},
           f"converted {len(converted)} items -> {manifest}")
@@ -486,7 +490,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", required=True, choices=corpus_mod.READ_FORMATS)
     p.add_argument("--in", dest="src", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_count("worker count"), default=1)
     p.set_defaults(func=cmd_corpus_convert)
 
     p = csub.add_parser("clean", help="apply the six exclusion metrics")
@@ -566,9 +570,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="real-time-factor benchmark over a manifest")
     p.add_argument("--model", help=f"model directory (default ${MODEL_DIR_ENV})")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_count("repetition count"), default=1)
     p.add_argument("--chunk", type=float)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_count("worker count"), default=1)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
 

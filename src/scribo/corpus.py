@@ -26,11 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, DatasetError
-from .features import _open_wave
+from .features import SAMPLE_RATE, _open_wave
 
 log = logging.getLogger(__name__)
-
-TARGET_RATE = 16000
 
 #: Highest source sample rate convert_audio accepts (every standard PCM
 #: rate is below it). It bounds the resampling filter, which has
@@ -109,14 +107,6 @@ def probe_duration(path) -> float:
         return wf.getnframes() / rate
 
 
-def _write_pcm16(path, samples: np.ndarray) -> None:
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(TARGET_RATE)
-        wf.writeframes(samples.astype("<i2", copy=False).tobytes())
-
-
 def _downmix(data: np.ndarray) -> np.ndarray:
     """Average the channel columns of ``data`` into float64 in [-1, 1].
 
@@ -169,13 +159,13 @@ def _lowpass(up: int, down: int) -> np.ndarray:
 def convert_audio(src_path, dst_path) -> float:
     """Convert any readable WAV to PCM-16 mono 16 kHz; return duration.
 
-    Stereo is downmixed by averaging, other sample rates go through a
-    polyphase windowed-sinc resampler, and already conformant input is
-    passed through with byte-identical samples. A file that cannot be
-    decoded, has a sample rate outside (0, MAX_SOURCE_RATE] or holds
-    non-finite float samples raises AudioFormatError. scipy, which reads
-    and resamples, is imported here on first use, so inference never
-    loads it.
+    Channels are downmixed by averaging and other sample rates go through
+    a polyphase windowed-sinc resampler; already conformant input comes
+    out with byte-identical samples, since int16 / 32768 * 32768 is exact
+    in float64. A file that cannot be decoded, has a sample rate outside
+    (0, MAX_SOURCE_RATE] or holds non-finite float samples raises
+    AudioFormatError. scipy, which reads and resamples, is imported here
+    on first use, so inference never loads it.
     """
     from scipy.io import wavfile
     from scipy.signal import resample_poly
@@ -198,10 +188,6 @@ def convert_audio(src_path, dst_path) -> float:
         raise AudioFormatError(f"{src_path}: float samples include NaN or infinity")
 
     if data.ndim == 1:
-        if (data.dtype.kind, data.dtype.itemsize) == ("i", 2) and rate == TARGET_RATE:
-            # conformant input in either byte order: copy the samples through
-            _write_pcm16(dst_path, data)
-            return len(data) / TARGET_RATE
         data = data[:, None]
     mono = _downmix(data)
     # free the raw samples before resampling: kept to the end, they raise
@@ -209,17 +195,20 @@ def convert_audio(src_path, dst_path) -> float:
     # trims and re-grows the heap on every long file
     del data
 
-    if rate != TARGET_RATE:
-        g = math.gcd(TARGET_RATE, int(rate))
-        up, down = TARGET_RATE // g, rate // g
+    if rate != SAMPLE_RATE:
+        g = math.gcd(SAMPLE_RATE, int(rate))
+        up, down = SAMPLE_RATE // g, rate // g
         mono = resample_poly(mono, up, down, window=_lowpass(up, down))
     # mono is this function's own array: scale, round and clip in place
     mono *= 32768.0
     np.rint(mono, out=mono)
     np.clip(mono, -32768, 32767, out=mono)
-    pcm = mono.astype("<i2")
-    _write_pcm16(dst_path, pcm)
-    return len(pcm) / TARGET_RATE
+    with wave.open(str(dst_path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(SAMPLE_RATE)
+        wf.writeframes(mono.astype("<i2").tobytes())
+    return len(mono) / SAMPLE_RATE
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +240,8 @@ def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
     import csv
 
     with open(tsv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
+        # Common Voice writes sentences verbatim: a quote is text, not quoting
+        reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = reader.fieldnames or []
         file_col = next((c for c in _FILE_COLS if c in header), None)
         text_col = next((c for c in _TEXT_COLS if c in header), None)

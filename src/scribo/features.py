@@ -12,7 +12,7 @@ import contextlib
 import numbers
 import struct
 import wave
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,13 +86,6 @@ class FeatureConfig:
         if n_samples < self.window_samples:
             return 0
         return 1 + (n_samples - self.window_samples) // self.hop_samples
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(**d)
 
 
 @contextlib.contextmanager

@@ -142,15 +142,9 @@ class NgramModel:
 
 
 def _parse_entry(line: str, k: int, highest: bool, lineno: int):
-    if "\t" in line:
-        # tab layout: prob <TAB> tokens <TAB> backoff
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ArpaError(f"line {lineno}: malformed {k}-gram entry")
-        head, tokens, tail = parts[0], parts[1].split(), parts[2:]
-    else:
-        parts = line.split()
-        head, tokens, tail = parts[0], parts[1:1 + k], parts[1 + k:]
+    # prob, k words, optional backoff; tabs and spaces separate fields alike
+    parts = line.split()
+    head, tokens, tail = parts[0], parts[1:1 + k], parts[1 + k:]
     if len(tokens) != k:
         raise ArpaError(f"line {lineno}: expected {k} tokens")
     if len(tail) > 1 or (highest and tail):

@@ -17,13 +17,14 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+import sys
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import WeightError, read_json
-from .features import AudioClip, FeatureConfig, logmel, normalize_features
+from .features import SAMPLE_RATE, AudioClip, FeatureConfig, logmel, normalize_features
 from .textnorm import AlphabetSpec
 
 BN_EPS = 1e-5
@@ -54,6 +55,9 @@ class ConvSpec:
 
     def __post_init__(self):
         _check_counts(self, ("kernel", "channels", "stride", "dilation"))
+        # a manifest's "false" or 0 would otherwise read as its truth value
+        if not isinstance(self.separable, bool):
+            raise ValueError("separable must be true or false")
         if not self.separable and (self.kernel, self.stride, self.dilation) != (1, 1, 1):
             raise ValueError("a pointwise conv (separable=False) needs kernel, stride "
                              "and dilation 1")
@@ -76,6 +80,8 @@ class BlockGroup:
 
     def __post_init__(self):
         _check_counts(self, ("repeats", "sub_blocks", "kernel", "channels"))
+        if not isinstance(self.residual, bool):
+            raise ValueError("residual must be true or false")
 
 
 @dataclass(frozen=True)
@@ -92,21 +98,13 @@ class NetConfig:
     def __post_init__(self):
         _check_counts(self, ("vocab_size", "input_features"))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown net config keys: {sorted(unknown)}")
-        return cls(
-            vocab_size=d["vocab_size"],
-            input_features=d["input_features"],
-            prologue=ConvSpec(**d["prologue"]),
-            blocks=tuple(BlockGroup(**g) for g in d["blocks"]),
-            epilogue=tuple(ConvSpec(**c) for c in d["epilogue"]),
-        )
+        """Build from a manifest's ``net`` section: the keyword arguments,
+        with the nested specs as the dicts ``asdict`` writes."""
+        return cls(**{**d, "prologue": ConvSpec(**d["prologue"]),
+                      "blocks": tuple(BlockGroup(**g) for g in d["blocks"]),
+                      "epilogue": tuple(ConvSpec(**c) for c in d["epilogue"])})
 
 
 def quartznet15x5(vocab_size: int = 28, input_features: int = 64) -> NetConfig:
@@ -533,7 +531,7 @@ def receptive_field_frames(cfg: NetConfig) -> tuple[int, int]:
 def receptive_field_seconds(cfg: NetConfig, feat_cfg: FeatureConfig) -> float:
     """Audio a single output row depends on, window edges included."""
     left, right = receptive_field_frames(cfg)
-    return (left + right) * feat_cfg.hop_length + feat_cfg.window_length
+    return ((left + right) * feat_cfg.hop_samples + feat_cfg.window_samples) / SAMPLE_RATE
 
 
 def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
@@ -546,19 +544,22 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
     hop, and the result matches the unchunked forward within 1e-4
     max-abs (bitwise when one chunk covers the clip). A row is final
     once the right half of the receptive field has been pushed after it.
+    Each push is ``round(chunk_seconds * SAMPLE_RATE) // hop_samples`` rows.
     """
     feat_cfg = feat_cfg or FeatureConfig()
-    hop = feat_cfg.hop_length
-    frames = chunk_seconds / hop
-    if not (math.isfinite(chunk_seconds) and frames >= 1):
+    step = 0
+    if math.isfinite(chunk_seconds) and chunk_seconds > 0:
+        # a finite chunk too long to count in float samples is one push
+        samples = min(chunk_seconds * SAMPLE_RATE, sys.float_info.max)
+        step = round(samples) // feat_cfg.hop_samples
+    if step < 1:
         raise ValueError(
-            f"chunk must be a finite length of at least one feature hop ({hop}s), "
-            f"got {chunk_seconds!r}"
+            f"chunk must be a finite length of at least one feature hop "
+            f"({feat_cfg.hop_length}s), got {chunk_seconds!r}"
         )
 
     feats = normalize_features(logmel(clip, feat_cfg))
     t = feats.shape[0]
-    step = int(frames)
     # a clip with no frame still makes the one push that ends the stream
     bounds = [0, *range(step, t, step), t]
     stream = _Stream(cfg, weights)
@@ -752,23 +753,28 @@ def save_weights(directory, cfg: NetConfig, weights: NetworkWeights,
         raise ValueError("alphabet size does not match cfg.vocab_size")
     extra = {
         "model": name,
-        "net": cfg.to_dict(),
-        "features": feat_cfg.to_dict(),
-        "alphabet": alphabet.to_dict(),
+        "net": asdict(cfg),
+        "features": asdict(feat_cfg),
+        "alphabet": asdict(alphabet),
     }
     return write_tensor_blob(directory, weights.tensors, extra)
 
 
 def load_weights(path) -> LoadedModel:
-    """Load and validate a model directory saved by save_weights."""
+    """Load and validate a model directory saved by save_weights.
+
+    Each section holds its dataclass's keyword arguments: an unknown key,
+    a value of the wrong type or a missing field without a default raises
+    WeightError; a missing field with a default takes it.
+    """
     tensors, manifest = read_tensor_blob(path)
     for key in ("net", "features", "alphabet"):
         if key not in manifest:
             raise WeightError(f"model manifest lacks the {key!r} section")
     try:
         cfg = NetConfig.from_dict(manifest["net"])
-        feat_cfg = FeatureConfig.from_dict(manifest["features"])
-        alphabet = AlphabetSpec.from_dict(manifest["alphabet"])
+        feat_cfg = FeatureConfig(**manifest["features"])
+        alphabet = AlphabetSpec(**manifest["alphabet"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WeightError(f"{path}: malformed model manifest section: {exc!r}") from exc
     weights = NetworkWeights(tensors)

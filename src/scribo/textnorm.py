@@ -12,7 +12,7 @@ once.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -39,13 +39,16 @@ class AlphabetSpec:
     blank_index: int = -1
 
     def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("alphabet needs at least one symbol")
+        for sym in self.symbols:
+            if not isinstance(sym, str) or len(sym) != 1:
+                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be unique")
-        for sym in self.symbols:
-            if len(sym) != 1:
-                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
+        if isinstance(self.blank_index, bool) or not isinstance(self.blank_index, int):
+            raise ValueError("blank_index must be an integer")
         if self.blank_index == -1:
             object.__setattr__(self, "blank_index", len(self.symbols))
         elif self.blank_index != len(self.symbols):
@@ -59,25 +62,18 @@ class AlphabetSpec:
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlphabetSpec":
-        return cls(tuple(d["symbols"]), int(d.get("blank_index", -1)))
-
     @classmethod
     def from_json(cls, path: str | Path) -> "AlphabetSpec":
-        """Read an alphabet file: ``{"symbols": [...]}`` with one string
-        per symbol, and optionally the ``blank_index`` that to_dict writes."""
+        """Read an alphabet file: the keyword arguments of an AlphabetSpec,
+        ``{"symbols": [...]}`` with one string per symbol and optionally
+        the ``blank_index`` a saved model's ``alphabet`` section holds."""
         raw = read_json(path, ScriboError)
-        symbols = raw.get("symbols") if isinstance(raw, dict) else None
-        if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        if not isinstance(raw, dict) or not isinstance(raw.get("symbols"), list):
             raise ScriboError(f'{path}: an alphabet file must be an object '
                               f'{{"symbols": [...]}} with one string per symbol')
         try:
-            return cls.from_dict(raw)
-        except (TypeError, ValueError, OverflowError) as exc:
+            return cls(**raw)
+        except (TypeError, ValueError) as exc:
             raise ScriboError(f"{path}: invalid alphabet: {exc}") from exc
 
 

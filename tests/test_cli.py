@@ -101,6 +101,20 @@ def test_workers_below_one_is_usage_error(capsys, tmp_path, command, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "many"])
+@pytest.mark.parametrize("argv,flag,what", [
+    (["bench", "--manifest", "missing.tsv"], "--reps", "repetition count"),
+    (["transcribe", "--model", "missing", "--wav", "missing.wav", "--decoder", "beam"],
+     "--beam-width", "beam width"),
+])
+def test_count_below_one_is_usage_error(capsys, argv, flag, what, count):
+    # refused by the parser, before any named file is read
+    code, out, err = run_cli(capsys, *argv, flag, count)
+    assert code == 1
+    assert out == ""
+    assert flag in err and what in err
+
+
 def test_missing_model_directory_is_data_error(capsys, tmp_path):
     wav = tmp_path / "a.wav"
     write_wav(wav, tone(0.2))
@@ -357,6 +371,7 @@ _BAD_ALPHABETS = {
     "array": b"[1]",
     "non-string-symbol": b'{"symbols": [1]}',
     "not-utf8": b'{"symbols": ["\xe4"]}',
+    "unknown-key": b'{"symbols": ["a"], "junk": 1}',
 }
 
 

@@ -309,6 +309,23 @@ def test_read_commonvoice_mapping(tmp_path):
     ]
 
 
+def test_read_commonvoice_keeps_quotes_verbatim(tmp_path):
+    # a quote opens no quoted field: each line is one row
+    tsv = tmp_path / "validated.tsv"
+    tsv.write_text(
+        "path\tsentence\tduration\n"
+        'a.wav\t"Hello there\t1.0\n'
+        'b.wav\tsay "hi"\t2.0\n'
+        'c.wav\tbye"\t3.0\n'
+    )
+    items = read_dataset("commonvoice-tsv", tsv)
+    assert [(i.filepath, i.text, i.duration) for i in items] == [
+        ("a.wav", '"Hello there', 1.0),
+        ("b.wav", 'say "hi"', 2.0),
+        ("c.wav", 'bye"', 3.0),
+    ]
+
+
 def test_read_commonvoice_probes_clips_dir(tmp_path):
     clips = tmp_path / "clips"
     clips.mkdir()

@@ -1,4 +1,5 @@
 """WAV loading and log-mel feature extraction."""
+import dataclasses
 import math
 import wave
 
@@ -104,7 +105,7 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = FeatureConfig(mel_bins=20, fmax=7000.0)
-    assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+    assert FeatureConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 def test_frame_count_formula():

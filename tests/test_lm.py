@@ -285,6 +285,23 @@ def test_roundtrip_identical(toy_model, tmp_path):
         assert table(again) == table(toy_model)
 
 
+def test_tab_and_space_layouts_parse_alike(tmp_path):
+    # fields split on any whitespace: serialize_arpa's tab layout and its
+    # space-separated twin are the same model
+    tabs, spaces = tmp_path / "tabs.arpa", tmp_path / "spaces.arpa"
+    tabs.write_text(TOY_ARPA)
+    spaces.write_text(TOY_ARPA.replace("\t", " "))
+    assert "\t" in TOY_ARPA
+    assert _entries(parse_arpa(tabs)) == _entries(parse_arpa(spaces))
+
+
+def test_tab_between_words_separates_them(tmp_path):
+    p = tmp_path / "m.arpa"
+    p.write_text(TOY_ARPA.replace(f"{P_AB}\ta b", "-0.5\ta\tb"))
+    model = parse_arpa(p)
+    assert _entries(model)[2][("a", "b")] == (repr(-0.5), repr(0.0))
+
+
 def test_prune_noop_when_under_limit(toy_model):
     pruned = prune_model(toy_model, 10)
     assert pruned.total_ngrams == 6

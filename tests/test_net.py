@@ -41,7 +41,7 @@ def test_quartznet15x5_layout():
 
 
 def test_netconfig_dict_round_trip(small_cfg):
-    assert net.NetConfig.from_dict(small_cfg.to_dict()) == small_cfg
+    assert net.NetConfig.from_dict(dataclasses.asdict(small_cfg)) == small_cfg
 
 
 def test_saved_manifest_text_is_pinned(tmp_path):
@@ -383,6 +383,15 @@ def test_receptive_field_quartznet():
     assert seconds == pytest.approx(0.020 + (4028 + 4028) * 0.010)
 
 
+def test_receptive_field_counts_whole_samples():
+    # a 0.0101 s hop frames at round(161.6) = 162 samples
+    cfg = net.quartznet15x5()
+    left, right = net.receptive_field_frames(cfg)
+    seconds = net.receptive_field_seconds(cfg, FeatureConfig(hop_length=0.0101))
+    assert seconds == pytest.approx(((left + right) * 162 + 320) / 16000)
+    assert seconds == pytest.approx(81.587)
+
+
 def test_receptive_field_bounds_dependence(small_net):
     # rows outside the declared field must not influence an output row
     cfg, weights = small_net
@@ -458,6 +467,40 @@ def test_streaming_single_chunk_is_forward(stream_setup):
     cfg, weights, feat_cfg, clip, full = stream_setup
     out = net.forward_streaming(cfg, weights, clip, clip.duration + 1.0,
                                 feat_cfg=feat_cfg)
+    assert np.array_equal(out, full)
+
+
+def _push_rows(monkeypatch):
+    """The row count of every push forward_streaming makes, as it makes them."""
+    rows = []
+    push = net._Stream.push
+
+    def recording(self, x, last):
+        rows.append(x.shape[0])
+        return push(self, x, last)
+
+    monkeypatch.setattr(net._Stream, "push", recording)
+    return rows
+
+
+@pytest.mark.parametrize("chunk,step", [(0.29, 29), (85.0, 8500)])
+def test_streaming_chunk_counts_whole_hops_in_samples(stream_setup, monkeypatch, chunk,
+                                                      step):
+    # 0.29 s is 4640 samples, 29 hops of 160, though 0.29 / 0.01 is 28.999...
+    cfg, weights, feat_cfg, _, _ = stream_setup
+    clip = AudioClip(tone(chunk + 1.0), 16000)
+    rows = _push_rows(monkeypatch)
+    net.forward_streaming(cfg, weights, clip, chunk, feat_cfg=feat_cfg)
+    t = feat_cfg.frame_count(len(clip.samples))
+    assert rows == [step] * (t // step) + [t % step]
+
+
+def test_streaming_chunk_too_long_to_count_in_samples_is_one_push(stream_setup,
+                                                                   monkeypatch):
+    cfg, weights, feat_cfg, clip, full = stream_setup
+    rows = _push_rows(monkeypatch)
+    out = net.forward_streaming(cfg, weights, clip, 1e305, feat_cfg=feat_cfg)
+    assert rows == [feat_cfg.frame_count(len(clip.samples))]
     assert np.array_equal(out, full)
 
 
@@ -721,7 +764,7 @@ def test_load_rejects_tampered_alphabet(tmp_path):
     net.save_weights(tmp_path, cfg, net.random_weights(cfg, seed=1),
                      FeatureConfig(mel_bins=8), ALPHABETS["en"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["alphabet"] = ALPHABETS["es"].to_dict()
+    manifest["alphabet"] = dataclasses.asdict(ALPHABETS["es"])
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(WeightError):
         net.load_weights(tmp_path)
@@ -794,6 +837,46 @@ def test_load_rejects_bad_config_value(tiny_model_dir, tmp_path, section, key, v
     (tmp_path / net.BLOB_NAME).write_bytes((tiny_model_dir / net.BLOB_NAME).read_bytes())
     with pytest.raises(WeightError):
         net.load_weights(tmp_path)
+
+
+def _edit(section):
+    """A function that finds ``section`` in a manifest."""
+    return {"net": lambda m: m["net"],
+            "blocks": lambda m: m["net"]["blocks"][0],
+            "epilogue": lambda m: m["net"]["epilogue"][1],
+            "features": lambda m: m["features"],
+            "alphabet": lambda m: m["alphabet"]}[section]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("net", "junk", 1),
+    ("blocks", "junk", 1),
+    ("features", "junk", 1),
+    ("alphabet", "junk", 1),
+    ("epilogue", "separable", "false"),
+    ("blocks", "residual", 1),
+])
+def test_load_rejects_unknown_key_or_non_bool_flag(tiny_model_dir, tmp_path, section, key,
+                                                   value):
+    # each section is its dataclass's keyword arguments, nothing else
+    manifest = json.loads((tiny_model_dir / net.MANIFEST_NAME).read_text())
+    _edit(section)(manifest)[key] = value
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / net.MANIFEST_NAME).write_text(json.dumps(manifest))
+    (model / net.BLOB_NAME).write_bytes((tiny_model_dir / net.BLOB_NAME).read_bytes())
+    with pytest.raises(WeightError, match=key):
+        net.load_weights(model)
+    wav = write_wav(tmp_path / "clip.wav", tone(0.3))
+    code, err = run_quietly("transcribe", "--model", str(model), "--wav", str(wav))
+    assert code == 2
+    assert key in err
+
+
+def test_net_section_fields_with_defaults_may_be_left_out(small_cfg):
+    d = dataclasses.asdict(dataclasses.replace(small_cfg, input_features=64))
+    del d["input_features"]
+    assert net.NetConfig.from_dict(d).input_features == 64
 
 
 # sha256 over (name, float32 bytes) of random_weights(small_config(), seed=0),

@@ -1,4 +1,5 @@
 """Normalization rules, number spelling, transliteration, the full pipeline."""
+import dataclasses
 import json
 import re
 
@@ -38,19 +39,20 @@ def test_alphabet_rejects_duplicates():
 
 def test_alphabet_dict_round_trip():
     al = ALPHABETS["de"]
-    assert AlphabetSpec.from_dict(al.to_dict()) == al
+    assert AlphabetSpec(**dataclasses.asdict(al)) == al
 
 
 def test_alphabet_json_round_trip(tmp_path):
     path = tmp_path / "es.json"
-    path.write_text(json.dumps(ALPHABETS["es"].to_dict()), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(ALPHABETS["es"])), encoding="utf-8")
     assert AlphabetSpec.from_json(path) == ALPHABETS["es"]
 
 
 @pytest.mark.parametrize("content", [
     b"{}", b"[1]", b'{"symbols": [1]}', b'{"symbols": "ab"}', b'{"symbols": ["ab"]}',
     b'{"symbols": [["a"]]}', b'{"symbols": ["a"], "blank_index": 1e400}',
-    b'{"symbols": ["a"], "blank_index": 0}', b"\xff\xfe", b"{",
+    b'{"symbols": ["a"], "blank_index": 0}', b'{"symbols": ["a"], "junk": 1}',
+    b'{"symbols": ["a"], "blank_index": "1"}', b"\xff\xfe", b"{",
 ], ids=repr)
 def test_alphabet_json_rejects_malformed_file(tmp_path, content):
     path = tmp_path / "alphabet.json"
@@ -60,7 +62,7 @@ def test_alphabet_json_rejects_malformed_file(tmp_path, content):
 
 
 _ALPHABET_BASES = (
-    json.dumps(EN.to_dict()).encode(),
+    json.dumps(dataclasses.asdict(EN)).encode(),
     '{"symbols": ["a", "ñ", " "]}'.encode(),
 )
 
