@@ -17,7 +17,6 @@ import functools
 import logging
 import math
 import random
-import struct
 import wave
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -26,15 +25,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, DatasetError
-from .features import SAMPLE_RATE, _open_wave
+from .features import SAMPLE_RATE, _open_wav, _read_samples
 
 log = logging.getLogger(__name__)
 
 #: Highest source sample rate convert_audio accepts (every standard PCM
 #: rate is below it). It bounds the resampling filter, which has
 #: 20*max(16000, rate)/g + 1 taps for g = gcd(rate, 16000): at most 7.7M
-#: taps (59 MiB).
+#: taps (59 MiB), and its polyphase tables, at most about twice that.
 MAX_SOURCE_RATE = 384000
+
+#: Polyphase tables may grow past twice their filter's bytes up to this
+#: size, to let one table row span several output groups (see _Polyphase).
+_TABLE_BYTES = 1 << 20
 
 #: How non-conformant sample rates are brought to 16 kHz; recorded in
 #: conversion sidecars so downstream users know the interpolation used.
@@ -87,9 +90,7 @@ class CleaningReport:
 
 #: Integer PCM as (offset, full scale) by dtype (kind, itemsize), so byte
 #: order does not matter: a sample x maps to (x - offset) / full scale in
-#: [-1, 1). The WAV reader returns RIFX (big-endian) data as ``>i2``/``>i4``,
-#: 24-bit samples left-justified in 4 bytes and 40- to 64-bit samples
-#: left-justified in 8.
+#: [-1, 1). The WAV reader returns 24-bit samples left-justified in 4 bytes.
 _PCM_SCALE = {
     ("i", 2): (0, 32768.0),
     ("i", 4): (0, 2147483648.0),
@@ -100,11 +101,8 @@ _PCM_SCALE = {
 
 def probe_duration(path) -> float:
     """Duration in seconds from the WAV header, without decoding."""
-    with _open_wave(path) as wf:
-        rate = wf.getframerate()
-        if rate <= 0:
-            raise AudioFormatError(f"{path}: bad sample rate in header")
-        return wf.getnframes() / rate
+    with _open_wav(path) as (_, fmt):
+        return fmt.frames / fmt.rate
 
 
 def _downmix(data: np.ndarray) -> np.ndarray:
@@ -140,20 +138,98 @@ def _downmix(data: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _lowpass(up: int, down: int) -> np.ndarray:
-    """The anti-aliasing filter ``resample_poly(x, up, down)`` designs by
-    default, designed once per rate pair and shared read-only.
+    """The anti-aliasing filter of resampling by ``up / down``, designed
+    once per rate pair and shared read-only.
 
-    ``resample_poly`` copies an array window before scaling it, so
-    passing this one gives its default output bit for bit. It has
-    8821 taps (69 KiB) for 44.1 and 22.05 kHz; a rate coprime to 16000
-    needs 20*max(16000, rate) + 1 taps, which is why the cache is small.
+    It is the filter ``scipy.signal.resample_poly(x, up, down)`` designs
+    by default, ``firwin(20 * m + 1, 1 / m, window=("kaiser", 5.0))`` for
+    m = max(up, down): a Kaiser-windowed sinc scaled to unit DC gain, here
+    in numpy. It has 8821 taps (69 KiB) for 44.1 and 22.05 kHz; a rate
+    coprime to 16000 needs 20*max(16000, rate) + 1 taps, which is why the
+    cache is small.
     """
-    from scipy.signal import firwin
-
     max_rate = max(up, down)
-    h = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    n = 2 * 10 * max_rate + 1
+    cutoff = 1.0 / max_rate
+    h = cutoff * np.sinc(cutoff * (np.arange(n) - 0.5 * (n - 1)))
+    h *= np.kaiser(n, 5.0)
+    h /= np.sum(h)
     h.flags.writeable = False
     return h
+
+
+@dataclass(frozen=True)
+class _Polyphase:
+    """Resampling by ``up / down`` as matrix products.
+
+    Output i is sum_k up*h[half + i*down - k*up] * x[k] for the filter h
+    of _lowpass, centred on its ``half`` tap: the output of
+    ``resample_poly``. Outputs are laid out in rows of ``per_row``, a
+    whole number of groups of ``up`` outputs, so row q reads the input
+    of row 0 shifted by q * ``stride`` samples. Each band of
+    neighbouring columns is one ``table`` (at most ``frame`` rows x band
+    columns), read against the frame at input offset ``first`` + q *
+    ``stride``.
+
+    A band of w columns spans about (w - 1) * down / up input samples
+    beyond one phase's taps, so w is chosen to keep that span within the
+    taps per phase: the tables then take about twice the filter's bytes.
+    When the frames of neighbouring rows would overlap (``down`` shorter
+    than a frame), a row spans several groups so that frames are plain
+    strided views numpy hands to BLAS, as long as the tables stay within
+    _TABLE_BYTES; past that, frames overlap and numpy's own loop multiplies.
+    """
+
+    per_row: int
+    stride: int
+    frame: int
+    bands: tuple[tuple[int, int, np.ndarray], ...]  # (first column, first, table)
+
+
+@functools.lru_cache(maxsize=4)
+def _polyphase(up: int, down: int) -> _Polyphase:
+    h = _lowpass(up, down)
+    n, half = len(h), (len(h) - 1) // 2
+    taps = -(-n // up)  # per phase, at most
+    width = max(1, taps * up // down)  # columns per band
+    span = taps + -(-(width - 1) * down // up)  # frame rows per band, at most
+    groups = -(-span // down)  # per row, so that row frames do not overlap
+    if groups * up * span * 8 > max(2 * h.nbytes, _TABLE_BYTES):
+        groups = 1
+    per_row = groups * up
+    hu = h * up  # resample_poly's gain, applied as it does
+    bands = []
+    for col in range(0, per_row, width):
+        t = half + np.arange(col, min(col + width, per_row)) * down
+        first = t[0] // up - (taps - 1)
+        k = first + np.arange(t[-1] // up - first + 1)[:, None]
+        tap = t - k * up
+        table = np.where((tap >= 0) & (tap < n), hu[np.clip(tap, 0, n - 1)], 0.0)
+        table.flags.writeable = False
+        bands.append((col, first, table))
+    frame = max(len(table) for _, _, table in bands)
+    return _Polyphase(per_row, groups * down, frame, tuple(bands))
+
+
+def _resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """``x`` (float64) resampled by ``up / down``: the samples, alignment
+    and length ceil(len(x) * up / down) of ``resample_poly(x, up, down)``
+    with its default filter, to within rounding (about 1e-15)."""
+    plan = _polyphase(up, down)
+    n_out = -(-len(x) * up // down)
+    rows = -(-n_out // plan.per_row)
+    if rows == 0:
+        return np.zeros(0)
+    lo = plan.bands[0][1]  # the first band's frames start earliest
+    hi = plan.bands[-1][1] + plan.frame + (rows - 1) * plan.stride
+    padded = np.zeros(max(hi, len(x)) - lo)
+    padded[-lo:len(x) - lo] = x
+    frames = np.lib.stride_tricks.sliding_window_view(padded, plan.frame)
+    out = np.empty((rows, plan.per_row))
+    for col, first, table in plan.bands:
+        band = frames[first - lo::plan.stride][:rows, :len(table)]
+        np.matmul(band, table, out=out[:, col:col + table.shape[1]])
+    return out.reshape(-1)[:n_out]
 
 
 def convert_audio(src_path, dst_path) -> float:
@@ -162,43 +238,29 @@ def convert_audio(src_path, dst_path) -> float:
     Channels are downmixed by averaging and other sample rates go through
     a polyphase windowed-sinc resampler; already conformant input comes
     out with byte-identical samples, since int16 / 32768 * 32768 is exact
-    in float64. A file that cannot be decoded, has a sample rate outside
-    (0, MAX_SOURCE_RATE] or holds non-finite float samples raises
-    AudioFormatError. scipy, which reads and resamples, is imported here
-    on first use, so inference never loads it.
+    in float64. A file the WAV reader refuses, with a sample rate above
+    MAX_SOURCE_RATE or with non-finite float samples raises
+    AudioFormatError.
     """
-    from scipy.io import wavfile
-    from scipy.signal import resample_poly
-
     src_path, dst_path = Path(src_path), Path(dst_path)
-    try:
-        rate, data = wavfile.read(src_path)
-    except (ValueError, EOFError, OSError, struct.error) as exc:
-        raise AudioFormatError(f"{src_path}: cannot decode: {exc}") from exc
-    except (ZeroDivisionError, TypeError, UnboundLocalError) as exc:
-        # scipy's reader trusts the header: it divides by the channel
-        # count and block alignment, names a dtype after the container
-        # size, and reads unset locals when the fmt or data chunk is missing
-        raise AudioFormatError(f"{src_path}: malformed WAV header: {exc}") from exc
-    if not 0 < rate <= MAX_SOURCE_RATE:
-        raise AudioFormatError(
-            f"{src_path}: sample rate {rate} Hz outside 1-{MAX_SOURCE_RATE} Hz"
-        )
-    if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
+    with _open_wav(src_path) as (fh, fmt):
+        if fmt.rate > MAX_SOURCE_RATE:
+            raise AudioFormatError(
+                f"{src_path}: sample rate {fmt.rate} Hz outside 1-{MAX_SOURCE_RATE} Hz"
+            )
+        data = _read_samples(fh, fmt)
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise AudioFormatError(f"{src_path}: float samples include NaN or infinity")
 
-    if data.ndim == 1:
-        data = data[:, None]
     mono = _downmix(data)
     # free the raw samples before resampling: kept to the end, they raise
     # each conversion's peak heap by their size, and the allocator then
     # trims and re-grows the heap on every long file
     del data
 
-    if rate != SAMPLE_RATE:
-        g = math.gcd(SAMPLE_RATE, int(rate))
-        up, down = SAMPLE_RATE // g, rate // g
-        mono = resample_poly(mono, up, down, window=_lowpass(up, down))
+    if fmt.rate != SAMPLE_RATE:
+        g = math.gcd(SAMPLE_RATE, fmt.rate)
+        mono = _resample(mono, SAMPLE_RATE // g, fmt.rate // g)
     # mono is this function's own array: scale, round and clip in place
     mono *= 32768.0
     np.rint(mono, out=mono)

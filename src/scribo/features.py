@@ -1,4 +1,4 @@
-"""Audio front end: WAV loading and log-mel filterbank extraction.
+"""Audio front end: WAV reading and log-mel filterbank extraction.
 
 Frames are fully contained in the signal (no centering or reflective
 padding), which keeps the frame/timestep arithmetic of the acoustic
@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import numbers
+import os
 import struct
-import wave
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class FeatureConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         for name in ("window_length", "hop_length", "fmin", "fmax", "log_epsilon"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number")
         if self.mel_bins < 1:
             raise ValueError("mel_bins must be >= 1")
@@ -88,46 +90,130 @@ class FeatureConfig:
         return 1 + (n_samples - self.window_samples) // self.hop_samples
 
 
+class _WavFormat(NamedTuple):
+    """What a WAV header declares; ``tag`` is _PCM or _IEEE_FLOAT (an
+    extensible file's subformat), ``order`` the struct byte order."""
+
+    rate: int
+    channels: int
+    tag: int
+    bits: int
+    frames: int
+    order: str
+
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+#: The part of a KSDATAFORMAT_SUBTYPE GUID after its first field, which
+#: holds the format tag; the next two fields follow the file's byte order.
+_SUBTYPE_TAIL = bytes.fromhex("800000aa00389b71")
+
+#: (format tag, bits per sample) -> dtype code of the samples _read_samples
+#: returns. 24-bit samples come left-justified in 4 bytes, so integer PCM
+#: is always a full-scale ``u1``/``i2``/``i4``/``i8``.
+_SAMPLE_DTYPES = {
+    (_PCM, 8): "u1", (_PCM, 16): "i2", (_PCM, 24): "i4", (_PCM, 32): "i4",
+    (_PCM, 64): "i8", (_IEEE_FLOAT, 32): "f4", (_IEEE_FLOAT, 64): "f8",
+}
+
+
+def _parse_fmt(body: bytes, order: str, path) -> _WavFormat:
+    if len(body) < 16:
+        raise AudioFormatError(f"{path}: fmt chunk holds {len(body)} bytes, needs 16")
+    tag, channels, rate, _, align, bits = struct.unpack(order + "HHIIHH", body[:16])
+    if tag == _EXTENSIBLE and body[28:40] == struct.pack(order + "HH", 0, 16) + _SUBTYPE_TAIL:
+        (tag,) = struct.unpack(order + "I", body[24:28])
+    if (tag, bits) not in _SAMPLE_DTYPES or channels < 1 or align != channels * bits // 8:
+        raise AudioFormatError(
+            f"{path}: unsupported WAV encoding (format {tag:#x}, {bits}-bit, "
+            f"{channels} channels, {align}-byte frames)"
+        )
+    if rate < 1:
+        raise AudioFormatError(f"{path}: bad sample rate in header")
+    return _WavFormat(rate, channels, tag, bits, 0, order)
+
+
+def _wav_format(fh, path) -> _WavFormat:
+    """Walk the RIFF (little-endian) or RIFX (big-endian) chunks of the
+    open file ``fh`` up to its data chunk, leaving ``fh`` at the first
+    sample. Chunks other than fmt and data are skipped with their pad
+    byte; a chunk that runs past the end of the file is an error."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] not in (b"RIFF", b"RIFX") or head[8:] != b"WAVE":
+        raise AudioFormatError(f"{path}: not a RIFF or RIFX WAVE file")
+    order = "<" if head[:4] == b"RIFF" else ">"
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise AudioFormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
+        name, (length,) = chunk[:4], struct.unpack(order + "I", chunk[4:])
+        if fh.tell() + length > size:
+            raise AudioFormatError(f"{path}: {name!r} chunk runs past the end of the file")
+        if name == b"data":
+            if fmt is None:
+                raise AudioFormatError(f"{path}: data chunk before the fmt chunk")
+            return fmt._replace(frames=length // (fmt.channels * fmt.bits // 8))
+        if name == b"fmt ":
+            fmt = _parse_fmt(fh.read(length), order, path)
+            fh.seek(length & 1, os.SEEK_CUR)
+        else:
+            fh.seek(length + (length & 1), os.SEEK_CUR)
+
+
 @contextlib.contextmanager
-def _open_wave(path):
-    """The WAV reader of ``path``; a file that fails to open or read as a
-    WAV, here or in the ``with`` body, raises AudioFormatError naming it."""
+def _open_wav(path):
+    """The open WAV file ``path`` at its first sample and its _WavFormat.
+
+    This and _read_samples are the one WAV reader of the package. It
+    reads integer PCM of 8, 16, 24, 32 and 64 bits and IEEE float of 32
+    and 64 bits, plain or WAVE_FORMAT_EXTENSIBLE, little- or big-endian.
+    Any other file, or one that cannot be read, raises AudioFormatError
+    naming it.
+    """
     try:
-        with wave.open(str(path), "rb") as wf:
-            yield wf
-    except (wave.Error, EOFError, struct.error, OSError) as exc:
-        raise AudioFormatError(f"{path}: not a readable WAV file: {exc!r}") from exc
-    except RuntimeError as exc:
-        # wave's chunk reader raises a bare RuntimeError when a chunk's
-        # declared size runs past the end of the file
-        raise AudioFormatError(f"{path}: chunk size runs past the end of the file") from exc
+        with open(path, "rb") as fh:
+            yield fh, _wav_format(fh, path)
+    except OSError as exc:
+        raise AudioFormatError(f"{path}: cannot read: {exc}") from exc
+
+
+def _read_samples(fh, fmt: _WavFormat) -> np.ndarray:
+    """The (frames, channels) samples of the WAV file ``fh`` that
+    _open_wav opened, in the file's byte order (see _SAMPLE_DTYPES)."""
+    payload = fh.read(fmt.frames * fmt.channels * fmt.bits // 8)
+    dtype = fmt.order + _SAMPLE_DTYPES[fmt.tag, fmt.bits]
+    if fmt.bits == 24:
+        # each 3-byte sample goes to the high bytes of an int32, zero below
+        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        high = slice(1, 4) if fmt.order == "<" else slice(0, 3)
+        wide[:, high] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        data = wide.view(dtype)
+    else:
+        data = np.frombuffer(payload, dtype=dtype)
+    return data.reshape(-1, fmt.channels)
 
 
 def load_wav(path) -> AudioClip:
-    """Read a RIFF/WAVE file that is already PCM-16 mono 16 kHz.
+    """Read a RIFF (little-endian) WAV file that is already PCM-16 mono
+    16 kHz.
 
-    No silent conversion happens here; anything else is rejected so
-    problems surface at the source (corpus conversion owns resampling).
-    Samples are scaled by 1/32768.
+    No silent conversion happens here, byte swapping included; anything
+    else is rejected so problems surface at the source (corpus conversion
+    owns conversion). Samples are scaled by 1/32768.
     """
-    with _open_wave(path) as wf:
-        channels = wf.getnchannels()
-        width = wf.getsampwidth()
-        rate = wf.getframerate()
-        declared = wf.getnframes()
-        if channels != 1:
-            raise AudioFormatError(f"{path}: expected mono, got {channels} channels")
-        if width != 2:
-            raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-        if rate != SAMPLE_RATE:
-            raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-        data = wf.readframes(declared)
-    if len(data) != 2 * declared:
-        raise AudioFormatError(
-            f"{path}: data chunk holds {len(data) // 2} samples, header declares {declared}"
-        )
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
-    return AudioClip(samples)
+    with _open_wav(path) as (fh, fmt):
+        if fmt.order != "<":
+            raise AudioFormatError(f"{path}: expected a RIFF file, got big-endian RIFX")
+        if fmt.channels != 1:
+            raise AudioFormatError(f"{path}: expected mono, got {fmt.channels} channels")
+        if (fmt.tag, fmt.bits) != (_PCM, 16):
+            kind = "PCM" if fmt.tag == _PCM else "float"
+            raise AudioFormatError(f"{path}: expected 16-bit PCM, got {fmt.bits}-bit {kind}")
+        if fmt.rate != SAMPLE_RATE:
+            raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {fmt.rate} Hz")
+        data = _read_samples(fh, fmt)
+    return AudioClip(data[:, 0].astype(np.float32) / 32768.0)
 
 
 def hz_to_mel(f):

@@ -774,7 +774,7 @@ def load_weights(path) -> LoadedModel:
     try:
         cfg = NetConfig.from_dict(manifest["net"])
         feat_cfg = FeatureConfig(**manifest["features"])
-        alphabet = AlphabetSpec(**manifest["alphabet"])
+        alphabet = AlphabetSpec.from_object(manifest["alphabet"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WeightError(f"{path}: malformed model manifest section: {exc!r}") from exc
     weights = NetworkWeights(tensors)

@@ -63,16 +63,22 @@ class AlphabetSpec:
         return self.symbols.index(symbol)
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "AlphabetSpec":
-        """Read an alphabet file: the keyword arguments of an AlphabetSpec,
+    def from_object(cls, raw) -> "AlphabetSpec":
+        """An AlphabetSpec from parsed JSON: its keyword arguments,
         ``{"symbols": [...]}`` with one string per symbol and optionally
-        the ``blank_index`` a saved model's ``alphabet`` section holds."""
-        raw = read_json(path, ScriboError)
+        ``blank_index``. Any other shape raises TypeError or ValueError."""
         if not isinstance(raw, dict) or not isinstance(raw.get("symbols"), list):
-            raise ScriboError(f'{path}: an alphabet file must be an object '
-                              f'{{"symbols": [...]}} with one string per symbol')
+            raise ValueError('an alphabet must be an object {"symbols": [...]} '
+                             'with one string per symbol')
+        return cls(**raw)
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "AlphabetSpec":
+        """Read an alphabet file, which holds what from_object takes: the
+        ``alphabet`` section of a saved model is one too."""
+        raw = read_json(path, ScriboError)
         try:
-            return cls(**raw)
+            return cls.from_object(raw)
         except (TypeError, ValueError) as exc:
             raise ScriboError(f"{path}: invalid alphabet: {exc}") from exc
 

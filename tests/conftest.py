@@ -74,7 +74,8 @@ def write_wav(path, samples, rate=16000, channels=1):
 
 
 def raw_wav(payload=b"", *, tag=1, channels=1, rate=16000, bits=16,
-            align=None, fmt=True, data=True, big_endian=False):
+            align=None, fmt=True, data=True, big_endian=False, extensible=False,
+            chunks=b""):
     """RIFF/WAVE bytes with every fmt field set by hand, for malformed files.
 
     ``tag`` 1 is integer PCM, 3 is IEEE float. ``align`` (bytes per frame)
@@ -82,14 +83,23 @@ def raw_wav(payload=b"", *, tag=1, channels=1, rate=16000, bits=16,
     field can be made bad while the rest stay consistent. ``fmt=False``
     or ``data=False`` leaves that chunk out. ``big_endian`` writes a RIFX
     file: the header fields big-endian; ``payload`` must match.
+    ``extensible`` writes a WAVE_FORMAT_EXTENSIBLE fmt chunk with ``tag``
+    as its subformat; ``chunks`` (whole chunks) goes before the data.
     """
     order = ">" if big_endian else "<"
     if align is None:
         align = channels * bits // 8
     body = b"WAVE"
     if fmt:
-        body += b"fmt " + struct.pack(order + "IHHIIHH", 16, tag, channels, rate,
-                                      rate * align, align, bits)
+        fields = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, channels,
+                             rate, rate * align, align, bits)
+        if extensible:
+            # cbSize, valid bits, channel mask, then the subformat GUID
+            # {tag-0000-0010-8000-00AA00389B71}, first three fields in file order
+            fields += struct.pack(order + "HHIIHH", 22, bits, 0, tag, 0, 16)
+            fields += bytes.fromhex("800000aa00389b71")
+        body += b"fmt " + struct.pack(order + "I", len(fields)) + fields
+    body += chunks
     if data:
         body += b"data" + struct.pack(order + "I", len(payload)) + payload
     return (b"RIFX" if big_endian else b"RIFF") + struct.pack(order + "I", len(body)) + body

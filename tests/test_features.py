@@ -103,6 +103,14 @@ def test_config_validation():
         FeatureConfig(mel_bins=0)
 
 
+@pytest.mark.parametrize("name", ["window_length", "hop_length", "fmin", "fmax",
+                                  "log_epsilon"])
+def test_config_refuses_bool_for_a_number(name):
+    # True is a numbers.Real: hop_length=True was a 16000-sample hop
+    with pytest.raises(ValueError, match=name):
+        FeatureConfig(**{name: True})
+
+
 def test_config_dict_round_trip():
     cfg = FeatureConfig(mel_bins=20, fmax=7000.0)
     assert FeatureConfig(**dataclasses.asdict(cfg)) == cfg

@@ -1,10 +1,11 @@
 """Behaviour that only a new interpreter shows.
 
 The test session has long imported scipy (the reference oracles use
-it), so whether a command loads scipy, and how the converter behaves
-when its first scipy import happens in worker threads, is checked here
-in fresh processes.
+it), so that no command loads scipy, and how conversion behaves when
+its caches first fill in worker threads, is checked here in fresh
+processes.
 """
+import json
 import os
 import subprocess
 import sys
@@ -14,20 +15,19 @@ from conftest import mixed_rate_folder, tone, write_wav
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# greedy and --arpa beam transcription through the console entry point,
-# then every scipy module the process has loaded
-_TRANSCRIBE_THEN_LIST_SCIPY = """
+# each command (a JSON list of argument lists) through the console entry
+# point, then every scipy module the process has loaded
+_RUN_THEN_LIST_SCIPY = """
+import json
 import sys
-import scribo
 from scribo import cli
 
-model, wav, arpa = sys.argv[1:]
-for extra in ([], ["--arpa", arpa, "--beam-width", "8"]):
-    sys.argv = ["scribo", "transcribe", "--model", model, "--wav", wav, *extra]
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["scribo", *argv]
     try:
         cli.main()
     except SystemExit as exc:
-        assert exc.code == 0, f"transcribe {extra} exited {exc.code}"
+        assert exc.code == 0, f"{argv} exited {exc.code}"
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -42,21 +42,28 @@ def python(*args):
     return done.stdout
 
 
+def scipy_loaded_by(*commands):
+    """The scipy modules a new interpreter holds after running ``commands``."""
+    out = python("-c", _RUN_THEN_LIST_SCIPY, json.dumps([list(map(str, c)) for c in commands]))
+    return out.splitlines()[-1]
+
+
 def test_inference_loads_no_scipy(tiny_model_dir, toy_arpa, tmp_path):
+    # greedy and --arpa beam transcription
     wav = write_wav(tmp_path / "clip.wav", tone(0.8))
-    out = python("-c", _TRANSCRIBE_THEN_LIST_SCIPY, str(tiny_model_dir), str(wav),
-                 str(toy_arpa))
-    assert out.splitlines()[-1] == "[]"
+    transcribe = ["transcribe", "--model", tiny_model_dir, "--wav", wav]
+    assert scipy_loaded_by(transcribe,
+                           [*transcribe, "--arpa", toy_arpa, "--beam-width", "8"]) == "[]"
 
 
 def test_corpus_convert_workers_write_same_bytes_in_a_fresh_process(tmp_path):
-    # in the --workers 2 process scipy is first imported by the workers
+    # in the --workers 2 process the resampler's caches first fill in the workers
     src = mixed_rate_folder(tmp_path / "raw")
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}"
-        python("-m", "scribo.cli", "corpus", "convert", "--format", "folder-txt",
-               "--in", str(src), "--out", str(out), "--workers", workers)
+        assert scipy_loaded_by(["corpus", "convert", "--format", "folder-txt", "--in", src,
+                                "--out", out, "--workers", workers]) == "[]"
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     serial, parallel = outs
     assert len([n for n in serial if n.endswith(".wav")]) == 6

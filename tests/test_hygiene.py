@@ -1,13 +1,15 @@
-"""Source hygiene: every import in a package module is used, every
-module-level private name is read somewhere in the package, every public
-function, class and method is read outside the unit tests, and every
-name the benchmark's traced mode patches exists.
+"""Source hygiene: the package imports only the standard library and
+numpy, every import in a package module is used, every module-level
+private name is read somewhere in the package, every public function,
+class and method is read outside the unit tests, and every name the
+benchmark's traced mode patches exists.
 
 No linter ships with the toolchain, so this check stands in for one.
-``__init__.py`` is exempt from the import check: its imports are the
-package's re-exports.
+``__init__.py`` is exempt from the unused-import check: its imports are
+the package's re-exports.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scribo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported by absolute imports that are neither the
+    standard library nor numpy."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names - {"numpy"})
+
+
+def test_checker_flags_only_the_foreign_imports():
+    source = ("import os.path, numpy as np\nfrom scipy.signal import firwin\n"
+              "from . import net\nfrom .errors import ScriboError\n"
+              "def f():\n    import yaml\n")
+    assert foreign_imports(source) == ["scipy", "yaml"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # the package's one runtime dependency is numpy (pyproject.toml)
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

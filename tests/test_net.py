@@ -859,6 +859,27 @@ def _edit(section):
 def test_load_rejects_unknown_key_or_non_bool_flag(tiny_model_dir, tmp_path, section, key,
                                                    value):
     # each section is its dataclass's keyword arguments, nothing else
+    _assert_edit_refused(tiny_model_dir, tmp_path, section, key, value)
+
+
+_EN = "".join(ALPHABETS["en"].symbols)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("features", "hop_length", True),
+    ("features", "log_epsilon", False),
+    ("alphabet", "symbols", _EN),
+    ("alphabet", "symbols", dict.fromkeys(_EN, 1)),
+])
+def test_load_rejects_json_of_another_type(tiny_model_dir, tmp_path, section, key, value):
+    # a JSON boolean is no number, and symbols are a list of strings, as
+    # in an alphabet file
+    _assert_edit_refused(tiny_model_dir, tmp_path, section, key, value)
+
+
+def _assert_edit_refused(tiny_model_dir, tmp_path, section, key, value):
+    """Setting ``key`` of a manifest section to ``value`` makes
+    load_weights and `transcribe --model` refuse the model, naming key."""
     manifest = json.loads((tiny_model_dir / net.MANIFEST_NAME).read_text())
     _edit(section)(manifest)[key] = value
     model = tmp_path / "model"
