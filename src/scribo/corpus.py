@@ -35,10 +35,6 @@ log = logging.getLogger(__name__)
 #: taps (59 MiB), and its polyphase tables, at most about twice that.
 MAX_SOURCE_RATE = 384000
 
-#: Polyphase tables may grow past twice their filter's bytes up to this
-#: size, to let one table row span several output groups (see _Polyphase).
-_TABLE_BYTES = 1 << 20
-
 #: How non-conformant sample rates are brought to 16 kHz; recorded in
 #: conversion sidecars so downstream users know the interpolation used.
 RESAMPLE_METHOD = "polyphase windowed-sinc"
@@ -136,17 +132,14 @@ def _downmix(data: np.ndarray) -> np.ndarray:
     return mono
 
 
-@functools.lru_cache(maxsize=4)
 def _lowpass(up: int, down: int) -> np.ndarray:
-    """The anti-aliasing filter of resampling by ``up / down``, designed
-    once per rate pair and shared read-only.
+    """The anti-aliasing filter of resampling by ``up / down``.
 
     It is the filter ``scipy.signal.resample_poly(x, up, down)`` designs
     by default, ``firwin(20 * m + 1, 1 / m, window=("kaiser", 5.0))`` for
     m = max(up, down): a Kaiser-windowed sinc scaled to unit DC gain, here
     in numpy. It has 8821 taps (69 KiB) for 44.1 and 22.05 kHz; a rate
-    coprime to 16000 needs 20*max(16000, rate) + 1 taps, which is why the
-    cache is small.
+    coprime to 16000 needs 20*max(16000, rate) + 1 taps.
     """
     max_rate = max(up, down)
     n = 2 * 10 * max_rate + 1
@@ -154,7 +147,6 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     h = cutoff * np.sinc(cutoff * (np.arange(n) - 0.5 * (n - 1)))
     h *= np.kaiser(n, 5.0)
     h /= np.sum(h)
-    h.flags.writeable = False
     return h
 
 
@@ -164,24 +156,19 @@ class _Polyphase:
 
     Output i is sum_k up*h[half + i*down - k*up] * x[k] for the filter h
     of _lowpass, centred on its ``half`` tap: the output of
-    ``resample_poly``. Outputs are laid out in rows of ``per_row``, a
-    whole number of groups of ``up`` outputs, so row q reads the input
-    of row 0 shifted by q * ``stride`` samples. Each band of
-    neighbouring columns is one ``table`` (at most ``frame`` rows x band
-    columns), read against the frame at input offset ``first`` + q *
-    ``stride``.
+    ``resample_poly``. Outputs are laid out in rows of ``up``, one per
+    phase, so row q reads the input of row 0 shifted by q * ``down``
+    samples. Each band of neighbouring columns is one ``table`` (at most
+    ``frame`` rows x band columns), read against the frame at input
+    offset ``first`` + q * ``down``.
 
     A band of w columns spans about (w - 1) * down / up input samples
     beyond one phase's taps, so w is chosen to keep that span within the
     taps per phase: the tables then take about twice the filter's bytes.
-    When the frames of neighbouring rows would overlap (``down`` shorter
-    than a frame), a row spans several groups so that frames are plain
-    strided views numpy hands to BLAS, as long as the tables stay within
-    _TABLE_BYTES; past that, frames overlap and numpy's own loop multiplies.
+    Built once per rate pair (the last four are cached) and shared
+    read-only by the conversion threads.
     """
 
-    per_row: int
-    stride: int
     frame: int
     bands: tuple[tuple[int, int, np.ndarray], ...]  # (first column, first, table)
 
@@ -192,15 +179,10 @@ def _polyphase(up: int, down: int) -> _Polyphase:
     n, half = len(h), (len(h) - 1) // 2
     taps = -(-n // up)  # per phase, at most
     width = max(1, taps * up // down)  # columns per band
-    span = taps + -(-(width - 1) * down // up)  # frame rows per band, at most
-    groups = -(-span // down)  # per row, so that row frames do not overlap
-    if groups * up * span * 8 > max(2 * h.nbytes, _TABLE_BYTES):
-        groups = 1
-    per_row = groups * up
     hu = h * up  # resample_poly's gain, applied as it does
     bands = []
-    for col in range(0, per_row, width):
-        t = half + np.arange(col, min(col + width, per_row)) * down
+    for col in range(0, up, width):
+        t = half + np.arange(col, min(col + width, up)) * down
         first = t[0] // up - (taps - 1)
         k = first + np.arange(t[-1] // up - first + 1)[:, None]
         tap = t - k * up
@@ -208,7 +190,7 @@ def _polyphase(up: int, down: int) -> _Polyphase:
         table.flags.writeable = False
         bands.append((col, first, table))
     frame = max(len(table) for _, _, table in bands)
-    return _Polyphase(per_row, groups * down, frame, tuple(bands))
+    return _Polyphase(frame, tuple(bands))
 
 
 def _resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
@@ -217,17 +199,17 @@ def _resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     with its default filter, to within rounding (about 1e-15)."""
     plan = _polyphase(up, down)
     n_out = -(-len(x) * up // down)
-    rows = -(-n_out // plan.per_row)
+    rows = -(-n_out // up)
     if rows == 0:
         return np.zeros(0)
     lo = plan.bands[0][1]  # the first band's frames start earliest
-    hi = plan.bands[-1][1] + plan.frame + (rows - 1) * plan.stride
+    hi = plan.bands[-1][1] + plan.frame + (rows - 1) * down
     padded = np.zeros(max(hi, len(x)) - lo)
     padded[-lo:len(x) - lo] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, plan.frame)
-    out = np.empty((rows, plan.per_row))
+    out = np.empty((rows, up))
     for col, first, table in plan.bands:
-        band = frames[first - lo::plan.stride][:rows, :len(table)]
+        band = frames[first - lo::down][:rows, :len(table)]
         np.matmul(band, table, out=out[:, col:col + table.shape[1]])
     return out.reshape(-1)[:n_out]
 

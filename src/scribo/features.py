@@ -92,13 +92,16 @@ class FeatureConfig:
 
 class _WavFormat(NamedTuple):
     """What a WAV header declares; ``tag`` is _PCM or _IEEE_FLOAT (an
-    extensible file's subformat), ``order`` the struct byte order."""
+    extensible file's subformat), ``order`` the struct byte order.
+    ``frames`` counts the whole frames the file holds, ``declared`` those
+    its data chunk's size declares, more when the file is cut short."""
 
     rate: int
     channels: int
     tag: int
     bits: int
     frames: int
+    declared: int
     order: str
 
 
@@ -129,14 +132,17 @@ def _parse_fmt(body: bytes, order: str, path) -> _WavFormat:
         )
     if rate < 1:
         raise AudioFormatError(f"{path}: bad sample rate in header")
-    return _WavFormat(rate, channels, tag, bits, 0, order)
+    return _WavFormat(rate, channels, tag, bits, 0, 0, order)
 
 
 def _wav_format(fh, path) -> _WavFormat:
     """Walk the RIFF (little-endian) or RIFX (big-endian) chunks of the
     open file ``fh`` up to its data chunk, leaving ``fh`` at the first
     sample. Chunks other than fmt and data are skipped with their pad
-    byte; a chunk that runs past the end of the file is an error."""
+    byte; one that runs past the end of the file is an error. A data
+    chunk that does (the placeholder size of streamed output, or an
+    interrupted recording) holds the whole frames that are there, fewer
+    than it declares."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     if len(head) < 12 or head[:4] not in (b"RIFF", b"RIFX") or head[8:] != b"WAVE":
@@ -148,12 +154,14 @@ def _wav_format(fh, path) -> _WavFormat:
         if len(chunk) < 8:
             raise AudioFormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
         name, (length,) = chunk[:4], struct.unpack(order + "I", chunk[4:])
-        if fh.tell() + length > size:
-            raise AudioFormatError(f"{path}: {name!r} chunk runs past the end of the file")
         if name == b"data":
             if fmt is None:
                 raise AudioFormatError(f"{path}: data chunk before the fmt chunk")
-            return fmt._replace(frames=length // (fmt.channels * fmt.bits // 8))
+            frame = fmt.channels * fmt.bits // 8
+            there = min(length, size - fh.tell())
+            return fmt._replace(frames=there // frame, declared=length // frame)
+        if fh.tell() + length > size:
+            raise AudioFormatError(f"{path}: {name!r} chunk runs past the end of the file")
         if name == b"fmt ":
             fmt = _parse_fmt(fh.read(length), order, path)
             fh.seek(length & 1, os.SEEK_CUR)
@@ -199,8 +207,9 @@ def load_wav(path) -> AudioClip:
     16 kHz.
 
     No silent conversion happens here, byte swapping included; anything
-    else is rejected so problems surface at the source (corpus conversion
-    owns conversion). Samples are scaled by 1/32768.
+    else, or a file that holds fewer samples than it declares, is
+    rejected so problems surface at the source (corpus conversion owns
+    conversion). Samples are scaled by 1/32768.
     """
     with _open_wav(path) as (fh, fmt):
         if fmt.order != "<":
@@ -212,6 +221,10 @@ def load_wav(path) -> AudioClip:
             raise AudioFormatError(f"{path}: expected 16-bit PCM, got {fmt.bits}-bit {kind}")
         if fmt.rate != SAMPLE_RATE:
             raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {fmt.rate} Hz")
+        if fmt.frames < fmt.declared:
+            raise AudioFormatError(
+                f"{path}: data chunk holds {fmt.frames} samples, header declares {fmt.declared}"
+            )
         data = _read_samples(fh, fmt)
     return AudioClip(data[:, 0].astype(np.float32) / 32768.0)
 

@@ -142,27 +142,29 @@ def test_lowpass_is_resample_poly_default_and_read_only():
     # 44.1 kHz -> 16 kHz reduces to up 160, down 441. The numpy design
     # differs from firwin's in the last bits of the Kaiser window's Bessel
     # function, measured at 3.8e-16 of the peak tap.
+    # The tables built from it are cached per rate pair and shared
+    # read-only.
     h = corpus._lowpass(160, 441)
     assert h.shape == (8821,)
     want = firwin(8821, 1 / 441, window=("kaiser", 5.0))
     assert np.max(np.abs(h - want)) <= 1e-15 * np.max(np.abs(want))
-    assert not h.flags.writeable
-    with pytest.raises(ValueError):
-        h[0] = 0.0
-    assert corpus._lowpass(160, 441) is h
+    plan = corpus._polyphase(160, 441)
+    for _, _, table in plan.bands:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert corpus._polyphase(160, 441) is plan
 
 
 def test_lowpass_cache_stays_bounded(tmp_path):
-    corpus._lowpass.cache_clear()
     corpus._polyphase.cache_clear()
     rates = (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000)
     for rate in rates:
         src = write_wav(tmp_path / f"{rate}.wav", tone(0.05, rate=rate), rate=rate)
         convert_audio(src, tmp_path / "out.wav")
-    for cached in (corpus._lowpass, corpus._polyphase):
-        info = cached.cache_info()
-        assert info.misses == len(rates)
-        assert info.currsize == info.maxsize == 4
+    info = corpus._polyphase.cache_info()
+    assert info.misses == len(rates)
+    assert info.currsize == info.maxsize == 4
 
 
 @settings(max_examples=120, deadline=None)
@@ -179,11 +181,17 @@ def test_resample_matches_resample_poly(rate, frames, seed):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_polyphase_tables_stay_within_twice_the_filter():
-    # 44101 Hz is coprime with 16000: 882021 taps, 16000 phases of 56
-    plan = corpus._polyphase(16000, 44101)
-    filter_bytes = corpus._lowpass(16000, 44101).nbytes
-    assert sum(table.nbytes for _, _, table in plan.bands) <= 2 * filter_bytes
+@pytest.mark.parametrize("rate", [8000, 11025, 44100, 48000, 384000, 44101])
+def test_polyphase_tables_stay_within_twice_the_filter(rate):
+    # each of the `up` phases has at most ceil(n / up) taps and each band
+    # spans at most that many more rows: 2 * (n + up) entries, with up
+    # below 5% of n. 44101 Hz is coprime with 16000: 882021 taps, 16000
+    # phases of 56.
+    g = math.gcd(rate, 16000)
+    up, down = 16000 // g, rate // g
+    plan = corpus._polyphase(up, down)
+    n = len(corpus._lowpass(up, down))
+    assert sum(table.size for _, _, table in plan.bands) <= 2 * (n + up)
 
 
 # ------------------------------------------------- big-endian and 64-bit PCM
@@ -303,6 +311,31 @@ def _wav_bytes(rate, samples):
     buf = io.BytesIO()
     wavfile.write(buf, rate, samples)
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("rate,channels", [(44100, 2), (16000, 1)])
+def test_data_chunk_past_eof_reads_the_frames_there(tmp_path, rate, channels):
+    # streamed WAV output declares a placeholder data size, an interrupted
+    # recording a size it never wrote: the samples there are the audio
+    pcm = (np.arange(1000 * channels) * 997 % 20000 - 10000).astype(np.int16)
+    pcm = pcm.reshape(-1, channels) if channels > 1 else pcm
+    blob = bytearray(_wav_bytes(rate, pcm))
+    assert blob[36:40] == b"data"
+    blob[40:44] = (0xFFFFFFFF).to_bytes(4, "little")
+    src = tmp_path / "streamed.wav"
+    src.write_bytes(blob)
+    got = convert_audio(src, tmp_path / "got.wav")
+    want = corpus_reference.convert_audio(src, tmp_path / "want.wav")
+    assert got == want
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+    assert probe_duration(src) == 1000 / rate
+    if rate == 16000:
+        # transcription input comes from conversion, whole: it must not be cut
+        with pytest.raises(AudioFormatError, match="header declares"):
+            load_wav(src)
+    # a frame cut short at the end is left out
+    src.write_bytes(blob[:-1])
+    assert probe_duration(src) == 999 / rate
 
 
 _FUZZ_BASES = (
