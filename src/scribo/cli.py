@@ -29,16 +29,14 @@ from . import lm as lm_mod
 from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
 from .errors import ScriboError, WeightError
 from .features import SAMPLE_RATE, load_wav, logmel, normalize_features
-from .net import (LoadedModel, adapt_alphabet, forward, forward_streaming,
+from .net import (THREAD_ENV, LoadedModel, adapt_alphabet, forward, forward_streaming,
                   load_weights, make_adapt_policy, param_count, read_tensor_blob,
-                  save_weights)
+                  row_parts, save_weights)
 from .textnorm import ALPHABETS, AlphabetSpec, load_rules, normalize_text, shipped_rules
 
 log = logging.getLogger(__name__)
 
 MODEL_DIR_ENV = "SCRIBO_MODEL_DIR"
-# thread-count variables of the BLAS/OpenMP runtimes, reported by bench
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -253,14 +251,15 @@ def cmd_bench(args) -> int:
         "peak_rss_mib": _peak_rss_mib(),
         # worker threads multiply with BLAS threads unless BLAS is pinned
         "workers": args.workers,
-        **{var: os.environ.get(var) for var in _THREAD_ENV},
+        **{var: os.environ.get(var) for var in THREAD_ENV},
+        "row_parts": row_parts(),
     }
-    threads = ", ".join(f"{var}={summary[var] or 'unset'}" for var in _THREAD_ENV)
+    threads = ", ".join(f"{var}={summary[var] or 'unset'}" for var in THREAD_ENV)
     _emit(args, summary,
           f"{len(rtfs)} measurements: mean rtf {summary['mean_rtf']:.3f}, "
           f"median rtf {summary['median_rtf']:.3f}, p90 rtf {summary['p90_rtf']:.3f}, "
           f"aggregate {summary['aggregate_rtf']:.3f}; peak RSS {summary['peak_rss_mib']:.1f} MiB; "
-          f"workers {args.workers}, {threads}")
+          f"workers {args.workers}, {threads}, row parts {summary['row_parts']}")
     return 0
 
 

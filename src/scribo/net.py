@@ -17,7 +17,10 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -310,17 +313,102 @@ def _bn_affine(tensors, name: str) -> tuple[np.ndarray, np.ndarray]:
     return scale, tensors[f"{name}.bn.beta"] - tensors[f"{name}.bn.mean"] * scale
 
 
+# Thread-count variables of the BLAS/OpenMP runtimes, in the order
+# OpenBLAS reads them.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# Fewest rows a stage hands to one thread. A row subset of an sgemm
+# gives bitwise the rows of the whole product once it has a few rows
+# (4 for the 512-wide layers in OpenBLAS); a row subset of the
+# depthwise einsum always does.
+_BLOCK_ROWS = 64
+
+
+def _row_parts() -> int:
+    """Threads one forward splits each stage's output rows across.
+
+    With the BLAS thread count unset, BLAS spreads every matrix product
+    over all cores, so rows are not split; pinned to n threads, it
+    leaves usable cores // n parts.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for var in THREAD_ENV:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas >= 1:
+            return max(1, cores // blas)
+    return 1
+
+
+_PARTS = _row_parts()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def row_parts() -> int:
+    """Threads one forward splits each stage's output rows across: the
+    usable cores over the BLAS thread count, 1 when that is unset."""
+    return _PARTS
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The helper threads, started by the first stage that splits."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_PARTS - 1, thread_name_prefix="scribo-rows")
+        return _pool
+
+
+def _in_row_blocks(n: int, fill) -> None:
+    """Call ``fill(a, b)`` on row blocks [a, b) that together cover range(n).
+
+    With one part, or fewer than two blocks of _BLOCK_ROWS rows, that is
+    one call in the caller. Otherwise the caller and up to _PARTS - 1
+    helpers take blocks from one shared list until it is empty; numpy
+    releases the interpreter lock inside the arithmetic. The block count
+    is a multiple of the parts where it can be, so that threads starting
+    together get equal shares. The caller then cancels every helper that
+    has not started, so a busy helper holds a stage up by at most one
+    block, and re-raises a helper's exception.
+    """
+    count = n // _BLOCK_ROWS if _PARTS > 1 else 1
+    if count > _PARTS:
+        count -= count % _PARTS
+    if count < 2:
+        fill(0, n)
+        return
+    # next() on a list iterator is one call, atomic under the interpreter lock
+    blocks = iter([(i * n // count, (i + 1) * n // count) for i in range(count)])
+
+    def take():
+        for a, b in blocks:
+            fill(a, b)
+
+    pool = _helpers()
+    helpers = [pool.submit(take) for _ in range(min(_PARTS, count) - 1)]
+    try:
+        take()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+
+
 class _Depthwise:
-    """A depthwise conv that keeps only the input its next output needs.
+    """The input side of a depthwise conv: it keeps only the input its
+    next output needs.
 
     ``rows`` holds the zero-padded input from the first tap of the next
     output row on; before the first push it is the left padding, a zero
     view with no memory of its own. ``start`` is where that tap lies in
     the held rows followed by the next push; it is nonzero only when the
-    stride outruns the kernel. A push emits every output row whose taps
-    have all arrived. The last push first pads on the right exactly as a
-    whole-clip pass does, so one last push of the whole input is that
-    pass.
+    stride outruns the kernel. A push returns the taps of every output
+    row whose taps have all arrived. The last push first pads on the
+    right exactly as a whole-clip pass does, so one last push of the
+    whole input is that pass.
     """
 
     def __init__(self, kernel: np.ndarray, stride: int, dilation: int):
@@ -334,6 +422,7 @@ class _Depthwise:
         self.seen = 0
 
     def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        """A (rows, channels, kernel) view of the taps of each new output row."""
         self.seen += x.shape[0]
         parts = [self.rows, x]
         if last:
@@ -343,19 +432,18 @@ class _Depthwise:
         rows = np.concatenate(parts, dtype=np.float32)
         n = max(0, (rows.shape[0] - self.start - self.span) // self.stride + 1)
         if n == 0:  # less than one window, which sliding_window_view refuses
-            out = np.zeros((0, rows.shape[1]), dtype=np.float32)
+            taps = np.zeros((0, rows.shape[1], self.kernel.shape[0]), dtype=np.float32)
         else:
             windows = np.lib.stride_tricks.sliding_window_view(rows[self.start:], self.span,
                                                                axis=0)
             taps = windows[::self.stride][:n][:, :, ::self.dilation]
-            out = np.einsum("tck,kc->tc", taps, self.kernel)
         if not last:
             # Keep a copy: a view would keep the whole pushed chunk alive.
             nxt = self.start + n * self.stride
             keep = min(nxt, rows.shape[0])
             self.rows = rows[keep:].copy()
             self.start = nxt - keep
-        return out
+        return taps
 
 
 def _zero_rows(n: int, channels: int) -> np.ndarray:
@@ -380,16 +468,29 @@ class _Conv:
         else:
             self.scale, self.shift = None, weights[f"{u.name}.bias"]
 
-    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
-        if self.dw is not None:
-            x = self.dw.push(x, last)
-        # In place on the fresh matmul output: the same arithmetic as
-        # x * scale + shift with one large temporary fewer.
-        x = x @ self.pw
+    def push(self, x: np.ndarray, last: bool, skip=None) -> np.ndarray:
+        """The new output rows, computed in row blocks; ``skip(a, b)``, if
+        given, returns rows a..b to add before the ReLU."""
+        src = x if self.dw is None else self.dw.push(x, last)
+        out = np.empty((src.shape[0], self.pw.shape[1]), dtype=np.float32)
+        _in_row_blocks(out.shape[0], lambda a, b: self.rows(
+            src[a:b], out[a:b], None if skip is None else skip(a, b)))
+        return out
+
+    def rows(self, src: np.ndarray, out: np.ndarray | None = None,
+             skip: np.ndarray | None = None) -> np.ndarray:
+        """Output rows of ``src`` (depthwise taps, or input rows of a
+        pointwise conv), written into ``out`` when given."""
+        x = src if self.dw is None else np.einsum("tck,kc->tc", src, self.dw.kernel)
+        # In place on the matmul output: the same arithmetic as
+        # x @ pw * scale + shift with no large temporary.
+        out = np.matmul(x, self.pw, out=out)
         if self.scale is not None:
-            x *= self.scale
-        x += self.shift
-        return np.maximum(x, 0.0, out=x) if self.relu else x
+            out *= self.scale
+        out += self.shift
+        if skip is not None:
+            out += skip
+        return np.maximum(out, 0.0, out=out) if self.relu else out
 
 
 class _Block:
@@ -398,26 +499,25 @@ class _Block:
     ``inputs`` holds (as a copy) the block inputs whose main-path output
     has not been emitted yet, None before the first push; sub-convs have
     stride 1, so each emitted row takes the oldest waiting input row.
-    A block has at least one sub-conv, so ``y`` is a fresh array that
-    the skip sum and ReLU may overwrite.
+    The last sub-conv adds the skip rows to each of its row blocks
+    before its ReLU, which ends the block.
     """
 
     def __init__(self, subs: list[_Unit], res: _Unit | None, weights: NetworkWeights):
-        self.subs = [_Conv(u, weights, relu=j < len(subs) - 1) for j, u in enumerate(subs)]
+        self.subs = [_Conv(u, weights, relu=True) for u in subs]
         self.res = None if res is None else _Conv(res, weights, relu=False)
         self.inputs = None
 
     def push(self, x: np.ndarray, last: bool) -> np.ndarray:
         waiting = x if self.inputs is None else np.concatenate([self.inputs, x])
-        y = x
-        for sub in self.subs:
-            y = sub.push(y, last)
-        n = y.shape[0]
-        if self.res is not None:
-            y += self.res.push(waiting[:n], last)
-            if not last:
-                self.inputs = waiting[n:].copy()
-        return np.maximum(y, 0.0, out=y)
+        for sub in self.subs[:-1]:
+            x = sub.push(x, last)
+        if self.res is None:
+            return self.subs[-1].push(x, last)
+        y = self.subs[-1].push(x, last, lambda a, b: self.res.rows(waiting[a:b]))
+        if not last:
+            self.inputs = waiting[y.shape[0]:].copy()
+        return y
 
 
 class _Head:
@@ -471,7 +571,9 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
     Returns ceil(T / prologue stride) rows (none for T = 0) of width
     vocab_size+1, as log-softmax scores (or raw pre-softmax activations
     with log_probs=False, which alphabet-adaptation comparisons rely on).
-    This is one push of every frame that also ends the stream.
+    This is one push of every frame that also ends the stream. Each
+    stage's rows may be split across threads (see ``row_parts``); the
+    result is bitwise the same whatever the part count.
     """
     x = np.asarray(features, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != cfg.input_features:
@@ -545,6 +647,8 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
     max-abs (bitwise when one chunk covers the clip). A row is final
     once the right half of the receptive field has been pushed after it.
     Each push is ``round(chunk_seconds * SAMPLE_RATE) // hop_samples`` rows.
+    As in ``forward``, the result is bitwise the same whatever the part
+    count.
     """
     feat_cfg = feat_cfg or FeatureConfig()
     step = 0

@@ -559,7 +559,8 @@ def test_bench_reports_p90_and_peak_rss(capsys, tiny_model_dir, wav_dir):
     assert summary["peak_rss_mib"] > 0
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert re.search(r"p90 rtf [0-9.]+, .*peak RSS [0-9.]+ MiB", out.splitlines()[-1])
+    assert re.search(r"p90 rtf [0-9.]+, .*peak RSS [0-9.]+ MiB; .*, row parts [0-9]+$",
+                     out.splitlines()[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 70])  # 0.9 * 70 rounds above 63
@@ -591,6 +592,7 @@ def test_bench_empty_manifest(capsys, tiny_model_dir, tmp_path):
 def test_bench_workers_matches_serial_count(capsys, monkeypatch, tiny_model_dir, wav_dir):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(net, "_PARTS", 2)
     items = [corpus.DatasetItem("one.wav", "x", 0.5),
              corpus.DatasetItem("two.wav", "y", 0.5)]
     manifest = make_manifest(wav_dir, items, name="bench")
@@ -604,6 +606,7 @@ def test_bench_workers_matches_serial_count(capsys, monkeypatch, tiny_model_dir,
     assert summary["workers"] == 2
     assert summary["OPENBLAS_NUM_THREADS"] == "1"
     assert summary["OMP_NUM_THREADS"] is None
+    assert summary["row_parts"] == 2
 
 
 # ------------------------------------------------------------------- corpus

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,10 +239,49 @@ def test_forward_zero_gamma_is_input_independent(small_cfg):
     assert np.allclose(out[0], other[0], atol=1e-6)
 
 
+@pytest.mark.parametrize("blas,omp,want", [
+    (None, None, 1),   # unpinned BLAS already spreads each product over every core
+    ("1", None, 4),
+    ("2", "1", 2),     # OPENBLAS_NUM_THREADS comes first, as OpenBLAS reads it
+    ("3", None, 1),
+    ("8", None, 1),
+    (None, "1", 4),
+    ("0", "2", 2),     # a value OpenBLAS ignores falls through to the next
+    ("many", "1", 4),
+    ("many", None, 1),
+])
+def test_row_parts_are_the_cores_blas_leaves_free(monkeypatch, blas, omp, want):
+    monkeypatch.setattr(net.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var, value in zip(net.THREAD_ENV, (blas, omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert net._row_parts() == want
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-part", "2-parts", "3-parts"])
+def parts(request, monkeypatch):
+    """The number of threads a forward splits each stage's rows across.
+
+    Unpinned BLAS means one part, so without this the split would not
+    run under the test suite's environment."""
+    monkeypatch.setattr(net, "_PARTS", request.param)
+    return request.param
+
+
+# (frames, parts): after the stride-2 prologue, 301, 403 and 601 frames
+# give every stage 151, 202 and 301 rows: 2 (75 + 76), 2 and 4 row blocks
+# on 2 parts, and 2, 3 (67 + 67 + 68) and 3 on 3 parts
+_LENGTHS_AND_PARTS = [(t, p) for t in (1, 2, 7, 60, 301, 403, 601) for p in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("folded", [False, True], ids=["bn", "folded"])
 @pytest.mark.parametrize("log_probs", [True, False], ids=["log-probs", "raw"])
-@pytest.mark.parametrize("t", [1, 2, 7, 60, 301])
-def test_forward_is_bitwise_the_reference(small_net, folded, log_probs, t):
+@pytest.mark.parametrize("t,parts", _LENGTHS_AND_PARTS, indirect=["parts"],
+                         ids=[str(t) if p == 1 else f"{t}-{p}-parts"
+                              for t, p in _LENGTHS_AND_PARTS])
+def test_forward_is_bitwise_the_reference(small_net, parts, folded, log_probs, t):
     cfg, weights = small_net
     if folded:
         weights = net.fold_batchnorm(cfg, weights)
@@ -249,15 +290,71 @@ def test_forward_is_bitwise_the_reference(small_net, folded, log_probs, t):
                           reference_forward(cfg, weights, feats, log_probs))
 
 
-def test_full_size_forward_is_bitwise_the_reference(tmp_path):
-    # the 10 s noise clip of acceptance criterion 04
+def test_full_size_forward_is_bitwise_the_reference(tmp_path, monkeypatch):
+    # the 10 s noise clip of acceptance criterion 04: 500 rows a stage,
+    # 6 row blocks on 1 or 2 helpers; folded and unfolded weights
     cfg = net.quartznet15x5(28)
     weights = net.random_weights(cfg, seed=0)
     rng = np.random.default_rng(7)
     write_wav(tmp_path / "noise10s.wav", rng.uniform(-0.5, 0.5, 10 * 16000))
     feats = normalize_features(logmel(load_wav(tmp_path / "noise10s.wav"), FeatureConfig()))
-    assert np.array_equal(net.forward(cfg, weights, feats),
-                          reference_forward(cfg, weights, feats))
+    for weights in (weights, net.fold_batchnorm(cfg, weights)):
+        want = reference_forward(cfg, weights, feats)
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(net, "_PARTS", parts)
+            assert np.array_equal(net.forward(cfg, weights, feats), want), \
+                f"{parts} parts, folded={weights.folded}"
+
+
+def test_exception_in_a_helper_block_comes_out_of_forward(small_net, monkeypatch):
+    monkeypatch.setattr(net, "_PARTS", 2)
+    cfg, weights = small_net
+    caller = threading.current_thread()
+    held, helper_failed = threading.Event(), threading.Event()
+    rows = net._Conv.rows
+
+    def failing_on_helpers(self, *args):
+        if threading.current_thread() is not caller:
+            helper_failed.set()
+            raise RuntimeError("block failed on a helper")
+        if not held.is_set():  # hold the caller's first block until a helper takes one
+            held.set()
+            helper_failed.wait(timeout=30)
+        return rows(self, *args)
+
+    monkeypatch.setattr(net._Conv, "rows", failing_on_helpers)
+    with pytest.raises(RuntimeError, match="block failed on a helper"):
+        net.forward(cfg, weights, rand_features(np.random.default_rng(0), 601))
+    assert helper_failed.is_set()
+
+
+def test_concurrent_forwards_sharing_the_helpers_are_bitwise_the_reference(small_net,
+                                                                           monkeypatch):
+    # the bench --workers case: several forwards split rows over one pool
+    monkeypatch.setattr(net, "_PARTS", 2)
+    cfg, weights = small_net
+    feats = [rand_features(np.random.default_rng(t), t) for t in (601, 403, 777)]
+    want = [reference_forward(cfg, weights, f) for f in feats]
+    got = [[] for _ in feats]
+
+    def run(i):
+        for _ in range(3):
+            got[i].append(net.forward(cfg, weights, feats[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(feats))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for outs, ref in zip(got, want):
+        assert len(outs) == 3
+        assert all(np.array_equal(out, ref) for out in outs)
 
 
 # ----------------------------------------------------------------- folding
@@ -468,6 +565,18 @@ def test_streaming_single_chunk_is_forward(stream_setup):
     out = net.forward_streaming(cfg, weights, clip, clip.duration + 1.0,
                                 feat_cfg=feat_cfg)
     assert np.array_equal(out, full)
+
+
+def test_split_streaming_matches_the_reference(stream_setup, parts):
+    # a 10 s clip: one push gives the stages 500 rows, 3.3 s pushes about 165
+    cfg, weights, feat_cfg, _, _ = stream_setup
+    clip = AudioClip(tone(10.0, freq=523.0, amp=0.4), 16000)
+    full = reference_forward(cfg, weights, normalize_features(logmel(clip, feat_cfg)))
+    one = net.forward_streaming(cfg, weights, clip, clip.duration + 1.0, feat_cfg=feat_cfg)
+    assert np.array_equal(one, full)
+    out = net.forward_streaming(cfg, weights, clip, 3.3, feat_cfg=feat_cfg)
+    assert out.shape == full.shape
+    assert float(np.abs(out - full).max()) <= 1e-4
 
 
 def _push_rows(monkeypatch):
