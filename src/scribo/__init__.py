@@ -17,11 +17,10 @@ from .errors import (ArpaError, AudioFormatError, DatasetError, RuleFileError,
 from .features import (AudioClip, FeatureConfig, load_wav, logmel, mel_filterbank,
                        normalize_features)
 from .lm import LmScore, NgramModel, parse_arpa, prune_model, serialize_arpa
-from .net import (AdaptPolicy, BlockGroup, ConvSpec, LoadedModel, NetConfig,
-                  NetworkWeights, adapt_alphabet, fold_batchnorm, forward,
-                  forward_streaming, load_weights, make_adapt_policy, param_count,
-                  quartznet15x5, random_weights, receptive_field_frames,
-                  receptive_field_seconds, save_weights)
+from .net import (BlockGroup, ConvSpec, LoadedModel, NetConfig, NetworkWeights,
+                  adapt_alphabet, fold_batchnorm, forward, forward_streaming,
+                  load_weights, param_count, quartznet15x5, random_weights,
+                  receptive_field_frames, receptive_field_seconds, save_weights)
 from .textnorm import (ALPHABETS, AlphabetSpec, NormRules, load_rules,
                        normalize_text, number_to_words, shipped_rules, transliterate)
 

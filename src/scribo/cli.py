@@ -27,11 +27,10 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import lm as lm_mod
 from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
-from .errors import ScriboError, WeightError
+from .errors import DatasetError, ScriboError, WeightError
 from .features import SAMPLE_RATE, load_wav, logmel, normalize_features
 from .net import (THREAD_ENV, LoadedModel, adapt_alphabet, forward, forward_streaming,
-                  load_weights, make_adapt_policy, param_count, read_tensor_blob,
-                  row_parts, save_weights)
+                  load_weights, param_count, read_tensor_blob, row_parts, save_weights)
 from .textnorm import ALPHABETS, AlphabetSpec, load_rules, normalize_text, shipped_rules
 
 log = logging.getLogger(__name__)
@@ -272,6 +271,10 @@ def cmd_corpus_convert(args) -> int:
     out = Path(args.out)
     base = src if src.is_dir() else src.parent
     items = corpus_mod.read_dataset(args.format, src)
+    for item in items:
+        rel = Path(item.filepath)
+        if rel.is_absolute() or ".." in rel.parts:
+            raise DatasetError(f"{src}: audio path {item.filepath!r} leads out of --out")
     out.mkdir(parents=True, exist_ok=True)
 
     def convert(item: corpus_mod.DatasetItem) -> corpus_mod.DatasetItem:
@@ -427,23 +430,24 @@ def cmd_decode(args) -> int:
 def cmd_adapt(args) -> int:
     model = load_weights(_model_dir(args))
     target = _load_alphabet(args.target)
-    policy = make_adapt_policy(model.alphabet, target, init=args.init,
-                               scale=args.scale, seed=args.seed)
     new_cfg, new_weights = adapt_alphabet(model.net, model.weights, model.alphabet,
-                                          target, policy)
+                                          target, init=args.init, scale=args.scale,
+                                          seed=args.seed)
+    new_symbols = [s for s in target.symbols if s not in model.alphabet.symbols]
+    mode = "extend" if new_symbols else "shrink"
     out = Path(args.out)
     save_weights(out, new_cfg, new_weights, model.features, target,
                  name=f"{model.name}-adapted")
     obj = {
         "out": str(out),
-        "mode": policy.mode,
+        "mode": mode,
         "vocab_size": new_cfg.vocab_size,
-        "new_symbols": [t for t, s in policy.mapping if s is None],
+        "new_symbols": new_symbols,
         "params": param_count(new_cfg),
     }
     _emit(args, obj,
-          f"{policy.mode}: vocab {model.net.vocab_size} -> {new_cfg.vocab_size}, "
-          f"new symbols {obj['new_symbols']}, saved to {out}")
+          f"{mode}: vocab {model.net.vocab_size} -> {new_cfg.vocab_size}, "
+          f"new symbols {new_symbols}, saved to {out}")
     return 0
 
 

@@ -14,6 +14,7 @@ the readers at local files.
 from __future__ import annotations
 
 import functools
+import io
 import logging
 import math
 import random
@@ -50,8 +51,8 @@ class DatasetItem:
     def __post_init__(self):
         if not self.filepath:
             raise ValueError("filepath must be non-empty")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
     @property
     def chars_per_second(self) -> float:
@@ -262,8 +263,6 @@ _FILE_COLS = ("path", "filepath", "filename", "file")
 _TEXT_COLS = ("sentence", "text", "transcript")
 _SPEAKER_COLS = ("client_id", "speaker")
 
-READ_FORMATS = ("commonvoice-tsv", "folder-txt", "manifest-csv")
-
 
 def _audio_path(base: Path, filepath: str) -> Path:
     """``base/filepath``, or ``base/clips/filepath`` (the Common Voice
@@ -283,9 +282,19 @@ def _probe_or_zero(path: Path) -> float:
 def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
     import csv
 
-    with open(tsv_path, encoding="utf-8", newline="") as fh:
-        # Common Voice writes sentences verbatim: a quote is text, not quoting
-        reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+    try:
+        raw = tsv_path.read_bytes()
+        text = raw.decode("utf-8")
+    except OSError as exc:
+        raise DatasetError(f"{tsv_path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{tsv_path}: line {line}: not UTF-8: {exc.reason}") from exc
+    # Common Voice writes sentences verbatim: a quote is text, not quoting
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter="\t",
+                            quoting=csv.QUOTE_NONE)
+    items, skipped = [], 0
+    try:
         header = reader.fieldnames or []
         file_col = next((c for c in _FILE_COLS if c in header), None)
         text_col = next((c for c in _TEXT_COLS if c in header), None)
@@ -294,11 +303,10 @@ def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
         speaker_col = next((c for c in _SPEAKER_COLS if c in header), None)
         has_duration = "duration" in header
 
-        items, skipped = [], 0
         for row in reader:
             filepath = (row.get(file_col) or "").strip()
-            text = (row.get(text_col) or "").strip()
-            if not filepath or not text:
+            sentence = (row.get(text_col) or "").strip()
+            if not filepath or not sentence:
                 skipped += 1
                 continue
             if has_duration and (row.get("duration") or "").strip():
@@ -306,7 +314,10 @@ def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
             else:
                 duration = _probe_or_zero(_audio_path(tsv_path.parent, filepath))
             speaker = (row.get(speaker_col) or "").strip() or None if speaker_col else None
-            items.append(DatasetItem(filepath, text, duration, speaker))
+            items.append(DatasetItem(filepath, sentence, duration, speaker))
+    except (csv.Error, ValueError) as exc:
+        # the csv reader's own count: DictReader's lags when a line fails to parse
+        raise DatasetError(f"{tsv_path}: line {reader.reader.line_num}: {exc}") from exc
     if skipped:
         log.warning("%s: skipped %d rows with missing path/sentence", tsv_path, skipped)
     return items
@@ -319,7 +330,10 @@ def _read_folder_txt(folder: Path) -> list[DatasetItem]:
         if not transcript.exists():
             skipped += 1
             continue
-        text = transcript.read_text(encoding="utf-8").strip()
+        try:
+            text = transcript.read_text(encoding="utf-8").strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"{transcript}: cannot read transcript: {exc}") from exc
         items.append(DatasetItem(audio.name, text, _probe_or_zero(audio)))
     if skipped:
         log.warning("%s: %d wav files have no .txt transcript", folder, skipped)
@@ -361,24 +375,27 @@ def read_manifest(path) -> list[DatasetItem]:
     return items
 
 
-def read_dataset(format_tag: str, path) -> list[DatasetItem]:
-    """Load a dataset in one of the supported layouts.
+#: Dataset layouts by format tag: ``commonvoice-tsv`` reads a TSV
+#: metadata file (path/sentence columns and friends), ``folder-txt``
+#: pairs each ``x.wav`` with ``x.txt``, ``manifest-csv`` reads this
+#: package's own manifest. Durations missing from metadata are probed
+#: from the WAV headers.
+_READERS = {
+    "commonvoice-tsv": _read_commonvoice,
+    "folder-txt": _read_folder_txt,
+    "manifest-csv": read_manifest,
+}
+READ_FORMATS = tuple(_READERS)
 
-    ``commonvoice-tsv`` reads a TSV metadata file (path/sentence columns
-    and friends), ``folder-txt`` pairs each ``x.wav`` with ``x.txt``,
-    ``manifest-csv`` reads this package's own manifest. Durations
-    missing from metadata are probed from the WAV headers.
-    """
+
+def read_dataset(format_tag: str, path) -> list[DatasetItem]:
+    """Load a dataset in one of the READ_FORMATS layouts."""
     path = Path(path)
-    if format_tag not in READ_FORMATS:
+    if format_tag not in _READERS:
         raise DatasetError(f"unknown dataset format {format_tag!r}; know {READ_FORMATS}")
     if not path.exists():
         raise DatasetError(f"{path}: no such file or directory")
-    if format_tag == "commonvoice-tsv":
-        return _read_commonvoice(path)
-    if format_tag == "folder-txt":
-        return _read_folder_txt(path)
-    return read_manifest(path)
+    return _READERS[format_tag](path)
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,15 @@ class AudioClip:
     """Mono 16 kHz float samples in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float32))
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 @dataclass(frozen=True)

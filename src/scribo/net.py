@@ -19,7 +19,6 @@ import math
 import numbers
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -343,23 +342,14 @@ def _row_parts() -> int:
 
 
 _PARTS = _row_parts()
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# ThreadPoolExecutor starts no thread before its first submit
+_pool = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="scribo-rows")
 
 
 def row_parts() -> int:
     """Threads one forward splits each stage's output rows across: the
     usable cores over the BLAS thread count, 1 when that is unset."""
     return _PARTS
-
-
-def _helpers() -> ThreadPoolExecutor:
-    """The helper threads, started by the first stage that splits."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_PARTS - 1, thread_name_prefix="scribo-rows")
-        return _pool
 
 
 def _in_row_blocks(n: int, fill) -> None:
@@ -387,8 +377,7 @@ def _in_row_blocks(n: int, fill) -> None:
         for a, b in blocks:
             fill(a, b)
 
-    pool = _helpers()
-    helpers = [pool.submit(take) for _ in range(min(_PARTS, count) - 1)]
+    helpers = [_pool.submit(take) for _ in range(min(_PARTS, count) - 1)]
     try:
         take()
     finally:
@@ -676,57 +665,20 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
 # Alphabet adaptation
 
 
-@dataclass(frozen=True)
-class AdaptPolicy:
-    """How a new output head is assembled from an old one.
-
-    ``mapping`` pairs each target symbol with the source symbol whose
-    weights it inherits, or None for a freshly initialized row. ``init``
-    is "zero" or "uniform" (uniform draws from [-scale, scale) with the
-    given seed). The blank column is always carried over implicitly.
-    """
-
-    mapping: tuple[tuple[str, str | None], ...]
-    init: str = "zero"
-    scale: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.init not in ("zero", "uniform"):
-            raise ValueError("init must be 'zero' or 'uniform'")
-
-    @property
-    def mode(self) -> str:
-        """'extend' when some target symbol is NEW, else 'shrink'."""
-        return "extend" if any(s is None for _, s in self.mapping) else "shrink"
-
-
-def make_adapt_policy(src: AlphabetSpec, tgt: AlphabetSpec, init: str = "zero",
-                      scale: float = 0.01, seed: int = 0) -> AdaptPolicy:
-    """Identity mapping: shared symbols keep their weights, others are NEW."""
-    mapping = tuple((sym, sym if sym in src.symbols else None) for sym in tgt.symbols)
-    return AdaptPolicy(mapping, init, scale, seed)
-
-
 def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
-                   tgt: AlphabetSpec, policy: AdaptPolicy) -> tuple[NetConfig, NetworkWeights]:
+                   tgt: AlphabetSpec, init: str = "zero", scale: float = 0.01,
+                   seed: int = 0) -> tuple[NetConfig, NetworkWeights]:
     """Rebuild the output head for a different alphabet.
 
-    Mapped symbols take their source column of the head kernel and bias
-    verbatim; NEW symbols get policy-initialized columns; columns of
-    dropped source symbols disappear. The blank stays last and keeps
-    its weights. No other tensor is touched, so shared symbols produce
-    bit-identical pre-softmax activations.
+    A target symbol that ``src`` also has takes its source column of the
+    head kernel and bias verbatim; a new one gets a zero column, or with
+    init="uniform" one drawn from [-scale, scale) with the given seed.
+    Columns of dropped source symbols disappear. The blank stays last
+    and keeps its weights. No other tensor is touched, so shared symbols
+    produce bit-identical pre-softmax activations.
     """
-    targets = [t for t, _ in policy.mapping]
-    if sorted(targets) != sorted(tgt.symbols):
-        dup = {t for t in targets if targets.count(t) > 1}
-        if dup:
-            raise ValueError(f"duplicate target mapping for {sorted(dup)}")
-        raise ValueError("policy.mapping must cover every target symbol exactly once")
-    for t, s in policy.mapping:
-        if s is not None and s not in src.symbols:
-            raise ValueError(f"mapping for {t!r} references unknown source symbol {s!r}")
+    if init not in ("zero", "uniform"):
+        raise ValueError("init must be 'zero' or 'uniform'")
     if cfg.vocab_size != src.size:
         raise ValueError("cfg.vocab_size does not match the source alphabet")
 
@@ -734,20 +686,18 @@ def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
     old_w = weights[f"{head_name}.pw"]
     old_b = weights[f"{head_name}.bias"]
     c_in = old_w.shape[0]
-    rng = np.random.default_rng(policy.seed)
+    rng = np.random.default_rng(seed)
 
     new_w = np.zeros((c_in, tgt.size + 1), dtype=np.float32)
     new_b = np.zeros(tgt.size + 1, dtype=np.float32)
-    by_target = dict(policy.mapping)
     for i, sym in enumerate(tgt.symbols):
-        source = by_target[sym]
-        if source is not None:
-            j = src.index(source)
+        if sym in src.symbols:
+            j = src.index(sym)
             new_w[:, i] = old_w[:, j]
             new_b[i] = old_b[j]
-        elif policy.init == "uniform":
-            new_w[:, i] = rng.uniform(-policy.scale, policy.scale, c_in).astype(np.float32)
-            new_b[i] = rng.uniform(-policy.scale, policy.scale)
+        elif init == "uniform":
+            new_w[:, i] = rng.uniform(-scale, scale, c_in).astype(np.float32)
+            new_b[i] = rng.uniform(-scale, scale)
     new_w[:, tgt.size] = old_w[:, src.size]
     new_b[tgt.size] = old_b[src.size]
 

@@ -169,10 +169,8 @@ def test_criterion_05_alphabet_surgery_preserves_shared_logits(big):
     cfg, weights = big
     en, es, it = ALPHABETS["en"], ALPHABETS["es"], ALPHABETS["it"]
 
-    es_cfg, es_weights = net.adapt_alphabet(
-        cfg, weights, en, es, net.make_adapt_policy(en, es, init="zero"))
-    it_cfg, it_weights = net.adapt_alphabet(
-        es_cfg, es_weights, es, it, net.make_adapt_policy(es, it))
+    es_cfg, es_weights = net.adapt_alphabet(cfg, weights, en, es, init="zero")
+    it_cfg, it_weights = net.adapt_alphabet(es_cfg, es_weights, es, it)
 
     en_cols = [es.index(s) for s in en.symbols] + [es.size]
     it_cols = [es.index(s) for s in it.symbols] + [es.size]

@@ -634,7 +634,6 @@ def test_corpus_convert_folder(capsys, tmp_path):
     from scribo.features import load_wav
     for item in converted:
         clip = load_wav(out_dir / item.filepath)
-        assert clip.sample_rate == 16000
         assert clip.samples.ndim == 1
         assert item.duration == pytest.approx(clip.duration, abs=1e-6)
 
@@ -808,6 +807,16 @@ def test_adapt_alphabet_cli(capsys, tiny_model_dir, tmp_path):
     write_wav(wav, tone(0.5))
     assert run_cli(capsys, "transcribe", "--model", str(out_dir),
                    "--wav", str(wav))[0] == 0
+
+    it_dir = tmp_path / "it-model"
+    code, out, _ = run_cli(capsys, "--json", "adapt-alphabet", "--model",
+                           str(out_dir), "--target", "it", "--out", str(it_dir))
+    assert code == 0
+    (obj,) = jlines(out)
+    assert obj["mode"] == "shrink"
+    assert obj["vocab_size"] == 28
+    assert obj["new_symbols"] == []
+    assert net.load_weights(it_dir).alphabet == ALPHABETS["it"]
 
 
 def test_adapt_alphabet_unknown_target(capsys, tiny_model_dir, tmp_path):

@@ -36,6 +36,9 @@ def test_item_validation():
         DatasetItem(filepath="", text="a", duration=1.0)
     with pytest.raises(ValueError):
         DatasetItem(filepath="a.wav", text="a", duration=-0.1)
+    for duration in (math.inf, float("1e999")):
+        with pytest.raises(ValueError):
+            DatasetItem(filepath="a.wav", text="a", duration=duration)
 
 
 def test_chars_per_second():
@@ -391,6 +394,57 @@ def test_read_manifest_fuzz(tmp_path_factory, blob):
     assert run_quietly("corpus", "stats", "--manifest", str(src))[0] == want
 
 
+def _convert_code(format_tag, src, out):
+    return run_quietly("corpus", "convert", "--format", format_tag,
+                       "--in", str(src), "--out", str(out))[0]
+
+
+# short fields and several duration cells, so that edits often land in one
+_COMMONVOICE_BASES = (
+    b"client_id\tpath\tsentence\tduration\nspk1\ta.wav\thallo\t0.016\n"
+    b"spk2\tb.wav\tgr\xc3\xbc\xc3\x9f\t\n\ta.wav\tja\t2e-3\n",
+    b'path\tsentence\tduration\nb.wav\tsay "hi"\t1.0\na.wav\tok\t16e-3\n',
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=fuzzed(*_COMMONVOICE_BASES))
+def test_read_commonvoice_fuzz(tmp_path_factory, blob):
+    """Any TSV bytes read or raise DatasetError; `corpus convert` exits 0
+    or 2, and 2 on what does not read."""
+    d = tmp_path_factory.mktemp("commonvoice")
+    (d / "clips").mkdir()
+    (d / "a.wav").write_bytes(_FUZZ_BASES[0])
+    (d / "clips" / "b.wav").write_bytes(_FUZZ_BASES[1])
+    tsv = d / "validated.tsv"
+    tsv.write_bytes(blob)
+    try:
+        read_dataset("commonvoice-tsv", tsv)
+        want = (0, 2)   # audio a row names may still fail to convert
+    except DatasetError:
+        want = (2,)
+    assert _convert_code("commonvoice-tsv", tsv, d / "out") in want
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=fuzzed(b"hallo welt\n", b"gr\xc3\xbc\xc3\x9f gott"),
+       wav=st.sampled_from(_FUZZ_BASES + (_FUZZ_BASES[1][:30],)))
+def test_read_folder_txt_fuzz(tmp_path_factory, text, wav):
+    """Any transcript bytes read or raise DatasetError; `corpus convert`
+    exits 0 or 2, and 2 on what does not read."""
+    d = tmp_path_factory.mktemp("folder")
+    raw = d / "raw"
+    raw.mkdir()
+    (raw / "a.wav").write_bytes(wav)
+    (raw / "a.txt").write_bytes(text)
+    try:
+        read_dataset("folder-txt", raw)
+        want = (0, 2)   # a cut WAV reads (duration 0) but does not convert
+    except DatasetError:
+        want = (2,)
+    assert _convert_code("folder-txt", raw, d / "out") in want
+
+
 def test_read_commonvoice_mapping(tmp_path):
     tsv = tmp_path / "validated.tsv"
     tsv.write_text(
@@ -477,6 +531,59 @@ def test_read_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
     f.write_bytes(b"duration\tfilepath\ttext\n1.0\ta.wav\t\xff\n")
     with pytest.raises(DatasetError, match="cannot read"):
         read_manifest(f)
+
+
+def test_read_manifest_skips_non_finite_durations(tmp_path):
+    f = tmp_path / "m.tsv"
+    f.write_text("duration\tfilepath\ttext\ninf\ta.wav\thi\n1e999\tb.wav\thi\n"
+                 "1.0\tc.wav\thi\n")
+    assert [i.filepath for i in read_manifest(f)] == ["c.wav"]
+
+
+@pytest.mark.parametrize("body, where", [
+    (b"path\tsentence\na.wav\t" + b"x" * 140000 + b"\n", "line 2"),
+    (b"path\tsentence\tduration\na.wav\thi\t1.0\nb.wav\t\xff\t1.0\n", "line 3"),
+    (b"path\tsentence\tduration\na.wav\thi\tabc\n", "line 2"),
+    (b"path\tsentence\tduration\na.wav\thi\t1.0\nb.wav\tho\tinf\n", "line 3"),
+    (b"path\tsentence\tduration\na.wav\thi\t1e999\n", "line 2"),
+], ids=["field-over-csv-limit", "not-utf8", "duration-not-a-number",
+        "duration-inf", "duration-overflows"])
+def test_read_commonvoice_names_file_and_line(capsys, tmp_path, body, where):
+    tsv = tmp_path / "validated.tsv"
+    tsv.write_bytes(body)
+    with pytest.raises(DatasetError, match=f"validated.tsv: {where}"):
+        read_dataset("commonvoice-tsv", tsv)
+    code, err = run_quietly("corpus", "convert", "--format", "commonvoice-tsv",
+                            "--in", str(tsv), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"validated.tsv: {where}" in err
+
+
+def test_read_folder_txt_names_a_transcript_that_is_not_utf8(tmp_path):
+    write_wav(tmp_path / "a.wav", np.zeros(160))
+    (tmp_path / "a.txt").write_bytes(b"gr\xfc\xdf gott\n")
+    with pytest.raises(DatasetError, match="a.txt"):
+        read_dataset("folder-txt", tmp_path)
+    code, err = run_quietly("corpus", "convert", "--format", "folder-txt",
+                            "--in", str(tmp_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "a.txt" in err
+
+
+@pytest.mark.parametrize("filepath", ["../a.wav", "clips/../../a.wav", "{root}/a.wav"])
+def test_corpus_convert_writes_nothing_outside_out(tmp_path, filepath):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_wav(tmp_path / "a.wav", np.zeros(160))
+    before = (tmp_path / "a.wav").read_bytes()
+    tsv = data / "validated.tsv"
+    tsv.write_text(f"path\tsentence\n{filepath.format(root=tmp_path)}\thi\n")
+    code, err = run_quietly("corpus", "convert", "--format", "commonvoice-tsv",
+                            "--in", str(tsv), "--out", str(data / "out"))
+    assert code == 2
+    assert "leads out of --out" in err
+    assert (tmp_path / "a.wav").read_bytes() == before
+    assert not (data / "out").exists()
 
 
 def test_read_manifest_rejects_alien_header(tmp_path):

@@ -2,13 +2,15 @@
 numpy, every import in a package module is used, every module-level
 private name is read somewhere in the package, every public function,
 class and method is read outside the unit tests, and every name the
-benchmark's traced mode patches exists.
+benchmark's traced mode patches exists, and the README names every
+dataset format.
 
 No linter ships with the toolchain, so this check stands in for one.
 ``__init__.py`` is exempt from the unused-import check: its imports are
 the package's re-exports.
 """
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -185,3 +187,13 @@ def test_perfbench_trace_targets_exist():
     missing = [f"{mod}.{attr}" for mod, attr in targets
                if mod not in modules or not hasattr(modules[mod], attr)]
     assert missing == []
+
+
+def test_readme_lists_every_dataset_format():
+    # a new reader is one table entry; the README's `corpus convert`
+    # line must name it, and nothing the table lacks
+    from scribo import corpus
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"# convert a dataset \(([^)]*) input\)", readme)
+    assert sorted(re.split(r", | or ", listed)) == sorted(corpus._READERS)

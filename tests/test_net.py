@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -260,14 +261,23 @@ def test_row_parts_are_the_cores_blas_leaves_free(monkeypatch, blas, omp, want):
     assert net._row_parts() == want
 
 
+def split_rows(monkeypatch, parts: int, pool: ThreadPoolExecutor) -> None:
+    """Have forwards split each stage's rows across ``parts`` threads:
+    the caller and ``pool``, which should hold parts - 1 workers (the
+    module's own pool is sized for this machine's part count)."""
+    monkeypatch.setattr(net, "_PARTS", parts)
+    monkeypatch.setattr(net, "_pool", pool)
+
+
 @pytest.fixture(params=[1, 2, 3], ids=["1-part", "2-parts", "3-parts"])
 def parts(request, monkeypatch):
     """The number of threads a forward splits each stage's rows across.
 
     Unpinned BLAS means one part, so without this the split would not
     run under the test suite's environment."""
-    monkeypatch.setattr(net, "_PARTS", request.param)
-    return request.param
+    with ThreadPoolExecutor(max(1, request.param - 1)) as pool:
+        split_rows(monkeypatch, request.param, pool)
+        yield request.param
 
 
 # (frames, parts): after the stride-2 prologue, 301, 403 and 601 frames
@@ -301,9 +311,10 @@ def test_full_size_forward_is_bitwise_the_reference(tmp_path, monkeypatch):
     for weights in (weights, net.fold_batchnorm(cfg, weights)):
         want = reference_forward(cfg, weights, feats)
         for parts in (1, 2, 3):
-            monkeypatch.setattr(net, "_PARTS", parts)
-            assert np.array_equal(net.forward(cfg, weights, feats), want), \
-                f"{parts} parts, folded={weights.folded}"
+            with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+                split_rows(monkeypatch, parts, pool)
+                assert np.array_equal(net.forward(cfg, weights, feats), want), \
+                    f"{parts} parts, folded={weights.folded}"
 
 
 def test_exception_in_a_helper_block_comes_out_of_forward(small_net, monkeypatch):
@@ -520,7 +531,7 @@ def stream_setup():
     cfg = small_config()
     weights = net.random_weights(cfg, seed=11)
     feat_cfg = FeatureConfig(mel_bins=8)
-    clip = AudioClip(tone(3.0, freq=523.0, amp=0.4), 16000)
+    clip = AudioClip(tone(3.0, freq=523.0, amp=0.4))
     feats = normalize_features(logmel(clip, feat_cfg))
     full = net.forward(cfg, weights, feats)
     return cfg, weights, feat_cfg, clip, full
@@ -554,7 +565,7 @@ def test_streaming_any_chunk_matches_forward(stream_setup, chunk):
 
 def test_streaming_row_count_example(stream_setup):
     cfg, weights, feat_cfg, _, _ = stream_setup
-    clip = AudioClip(tone(10.0), 16000)
+    clip = AudioClip(tone(10.0))
     out = net.forward_streaming(cfg, weights, clip, 5.0, feat_cfg=feat_cfg)
     t_full = feat_cfg.frame_count(len(clip.samples))
     assert out.shape[0] == math.ceil(t_full / 2)
@@ -570,7 +581,7 @@ def test_streaming_single_chunk_is_forward(stream_setup):
 def test_split_streaming_matches_the_reference(stream_setup, parts):
     # a 10 s clip: one push gives the stages 500 rows, 3.3 s pushes about 165
     cfg, weights, feat_cfg, _, _ = stream_setup
-    clip = AudioClip(tone(10.0, freq=523.0, amp=0.4), 16000)
+    clip = AudioClip(tone(10.0, freq=523.0, amp=0.4))
     full = reference_forward(cfg, weights, normalize_features(logmel(clip, feat_cfg)))
     one = net.forward_streaming(cfg, weights, clip, clip.duration + 1.0, feat_cfg=feat_cfg)
     assert np.array_equal(one, full)
@@ -597,7 +608,7 @@ def test_streaming_chunk_counts_whole_hops_in_samples(stream_setup, monkeypatch,
                                                       step):
     # 0.29 s is 4640 samples, 29 hops of 160, though 0.29 / 0.01 is 28.999...
     cfg, weights, feat_cfg, _, _ = stream_setup
-    clip = AudioClip(tone(chunk + 1.0), 16000)
+    clip = AudioClip(tone(chunk + 1.0))
     rows = _push_rows(monkeypatch)
     net.forward_streaming(cfg, weights, clip, chunk, feat_cfg=feat_cfg)
     t = feat_cfg.frame_count(len(clip.samples))
@@ -689,9 +700,7 @@ def en_model():
 def test_adapt_extend_preserves_shared_logits(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.make_adapt_policy(src, tgt, init="zero")
-    assert policy.mode == "extend"
-    new_cfg, new_weights = net.adapt_alphabet(cfg, weights, src, tgt, policy)
+    new_cfg, new_weights = net.adapt_alphabet(cfg, weights, src, tgt, init="zero")
     assert new_cfg.vocab_size == 29
 
     feats = rand_features(np.random.default_rng(0), 33)
@@ -707,13 +716,10 @@ def test_adapt_extend_preserves_shared_logits(en_model):
 def test_adapt_shrink_preserves_shared_logits(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.make_adapt_policy(src, tgt, init="uniform", scale=0.05, seed=3)
-    es_cfg, es_weights = net.adapt_alphabet(cfg, weights, src, tgt, policy)
+    es_cfg, es_weights = net.adapt_alphabet(cfg, weights, src, tgt, init="uniform",
+                                            scale=0.05, seed=3)
 
-    back = net.make_adapt_policy(tgt, ALPHABETS["it"])
-    assert back.mode == "shrink"
-    it_cfg, it_weights = net.adapt_alphabet(es_cfg, es_weights, tgt,
-                                            ALPHABETS["it"], back)
+    it_cfg, it_weights = net.adapt_alphabet(es_cfg, es_weights, tgt, ALPHABETS["it"])
     assert it_cfg.vocab_size == 28
 
     feats = rand_features(np.random.default_rng(1), 21)
@@ -727,8 +733,7 @@ def test_adapt_shrink_preserves_shared_logits(en_model):
 def test_adapt_identity_is_bitwise_noop(en_model):
     cfg, weights = en_model
     al = ALPHABETS["en"]
-    policy = net.make_adapt_policy(al, al)
-    new_cfg, new_weights = net.adapt_alphabet(cfg, weights, al, al, policy)
+    new_cfg, new_weights = net.adapt_alphabet(cfg, weights, al, al)
     assert new_cfg == cfg
     assert set(new_weights.tensors) == set(weights.tensors)
     for name, value in weights.tensors.items():
@@ -741,9 +746,7 @@ def test_adapt_preserves_greedy_on_dominant_head(en_model):
     tensors["c4.bias"] = tensors["c4.bias"] + 10.0   # keep old logits above 0
     strong = net.NetworkWeights(tensors)
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    new_cfg, new_weights = net.adapt_alphabet(
-        cfg, strong, src, tgt, net.make_adapt_policy(src, tgt)
-    )
+    new_cfg, new_weights = net.adapt_alphabet(cfg, strong, src, tgt)
     feats = rand_features(np.random.default_rng(5), 50)
     assert greedy_decode(net.forward(cfg, strong, feats), src) == greedy_decode(
         net.forward(new_cfg, new_weights, feats), tgt
@@ -753,9 +756,8 @@ def test_adapt_preserves_greedy_on_dominant_head(en_model):
 def test_adapt_uniform_init_bounded_and_seeded(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.make_adapt_policy(src, tgt, init="uniform", scale=0.01, seed=9)
-    _, a = net.adapt_alphabet(cfg, weights, src, tgt, policy)
-    _, b = net.adapt_alphabet(cfg, weights, src, tgt, policy)
+    _, a = net.adapt_alphabet(cfg, weights, src, tgt, init="uniform", scale=0.01, seed=9)
+    _, b = net.adapt_alphabet(cfg, weights, src, tgt, init="uniform", scale=0.01, seed=9)
     col = tgt.index("ñ")
     head = a["c4.pw"][:, col]
     assert np.all(np.abs(head) <= 0.01)
@@ -763,22 +765,33 @@ def test_adapt_uniform_init_bounded_and_seeded(en_model):
     assert np.array_equal(a["c4.pw"], b["c4.pw"])
 
 
-def test_adapt_rejects_unknown_source(en_model):
-    cfg, weights = en_model
-    src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.AdaptPolicy(
-        mapping=tuple((s, "ß" if s == "ñ" else s) for s in tgt.symbols),
-    )
-    with pytest.raises(ValueError, match="unknown source"):
-        net.adapt_alphabet(cfg, weights, src, tgt, policy)
+# sha256 over (name, float32 bytes) of the head tensors c4.pw and c4.bias
+# after en -> es (uniform, scale 0.05, seed 3) and then es -> it (zero)
+# from en_model, as first recorded
+ADAPTED_HEAD_SHA256 = "93862e61af3d76b49a5ee582624733ff963309a91b5ab3a524ca66ece5277410"
 
 
-def test_adapt_rejects_incomplete_mapping(en_model):
+def test_adapted_head_is_pinned(en_model):
+    cfg, weights = en_model
+    en, es, it = ALPHABETS["en"], ALPHABETS["es"], ALPHABETS["it"]
+    es_cfg, es_weights = net.adapt_alphabet(cfg, weights, en, es, init="uniform",
+                                            scale=0.05, seed=3)
+    _, it_weights = net.adapt_alphabet(es_cfg, es_weights, es, it)
+    digest = hashlib.sha256()
+    for adapted in (es_weights, it_weights):
+        for name in ("c4.pw", "c4.bias"):
+            digest.update(name.encode())
+            digest.update(adapted[name].tobytes())
+    assert digest.hexdigest() == ADAPTED_HEAD_SHA256
+
+
+def test_adapt_rejects_bad_init_and_vocab(en_model):
     cfg, weights = en_model
     src, tgt = ALPHABETS["en"], ALPHABETS["es"]
-    policy = net.AdaptPolicy(mapping=tuple((s, s) for s in src.symbols))
-    with pytest.raises(ValueError):
-        net.adapt_alphabet(cfg, weights, src, tgt, policy)
+    with pytest.raises(ValueError, match="init"):
+        net.adapt_alphabet(cfg, weights, src, tgt, init="normal")
+    with pytest.raises(ValueError, match="vocab_size"):
+        net.adapt_alphabet(cfg, weights, tgt, src)
 
 
 # ---------------------------------------------------------------- weight IO
@@ -1022,11 +1035,6 @@ def test_random_weights_draw_stream_is_pinned():
         digest.update(name.encode())
         digest.update(weights.tensors[name].tobytes())
     assert digest.hexdigest() == SMALL_RANDOM_WEIGHTS_SHA256
-
-
-def test_adapt_policy_mode_follows_mapping():
-    assert net.AdaptPolicy(mapping=(("a", "a"), ("b", None))).mode == "extend"
-    assert net.AdaptPolicy(mapping=(("a", "a"),)).mode == "shrink"
 
 
 @pytest.fixture(scope="module")
