@@ -133,6 +133,17 @@ def _downmix(data: np.ndarray) -> np.ndarray:
     return mono
 
 
+def _kaiser(m: int, beta: float) -> np.ndarray:
+    """``np.kaiser(m, beta)`` for m >= 2, evaluating only its first
+    (m + 1) // 2 points: the window is symmetric, and n - (m - 1) / 2 is
+    exact for integer n, so the mirrored half equals the whole bit for
+    bit at half the cost of np.i0, whose series runs in Python."""
+    n = np.arange((m + 1) // 2, dtype=np.float64)
+    alpha = (m - 1) / 2.0
+    half = np.i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / np.i0(float(beta))
+    return np.concatenate([half, half[m // 2 - 1::-1]])
+
+
 def _lowpass(up: int, down: int) -> np.ndarray:
     """The anti-aliasing filter of resampling by ``up / down``.
 
@@ -146,7 +157,7 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     n = 2 * 10 * max_rate + 1
     cutoff = 1.0 / max_rate
     h = cutoff * np.sinc(cutoff * (np.arange(n) - 0.5 * (n - 1)))
-    h *= np.kaiser(n, 5.0)
+    h *= _kaiser(n, 5.0)
     h /= np.sum(h)
     return h
 

@@ -712,6 +712,8 @@ def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
 
 BLOB_NAME = "weights.bin"
 MANIFEST_NAME = "manifest.json"
+# read size of the blob: one chunk is hashed while the next is read
+_BLOB_CHUNK = 4 << 20
 
 
 def write_tensor_blob(directory, tensors: dict[str, np.ndarray],
@@ -720,71 +722,116 @@ def write_tensor_blob(directory, tensors: dict[str, np.ndarray],
 
     The blob is little-endian float32, row-major, tensors packed at the
     offsets recorded (in bytes) in the manifest's tensor table, with a
-    sha256 checksum over the whole blob.
+    sha256 checksum over the whole blob. Each tensor is hashed and
+    written as it is, so no copy of the blob is made; the manifest is
+    written last.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     table = []
-    blob = bytearray()
-    for name in sorted(tensors):
-        data = np.ascontiguousarray(tensors[name], dtype="<f4")
-        entry = {"name": name, "shape": list(data.shape), "dtype": "f32",
-                 "offset": len(blob), "length": data.nbytes}
-        table.append(entry)
-        blob.extend(data.tobytes())
+    offset = 0
+    digest = hashlib.sha256()
+    with open(directory / BLOB_NAME, "wb") as fh:
+        for name in sorted(tensors):
+            data = np.ascontiguousarray(tensors[name], dtype="<f4")
+            table.append({"name": name, "shape": list(data.shape), "dtype": "f32",
+                          "offset": offset, "length": data.nbytes})
+            digest.update(data)
+            fh.write(data)
+            offset += data.nbytes
     manifest = dict(extra or {})
     manifest["tensors"] = table
-    manifest["checksum"] = "sha256:" + hashlib.sha256(bytes(blob)).hexdigest()
-    (directory / BLOB_NAME).write_bytes(bytes(blob))
+    manifest["checksum"] = "sha256:" + digest.hexdigest()
     manifest_path = directory / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     return manifest_path
 
 
+def _read_hashed(path: Path) -> tuple[np.ndarray, str]:
+    """The bytes of ``path`` as a read-only uint8 array, and their sha256
+    hex digest. One thread hashes each chunk, in order, while the next is
+    read; it is joined before this returns or raises."""
+    digest = hashlib.sha256()
+    with (open(path, "rb") as fh,
+          ThreadPoolExecutor(1, thread_name_prefix="scribo-sha256") as hasher):
+        blob = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        view = memoryview(blob)
+        hashed = []
+        filled = 0
+        while filled < len(blob):
+            got = fh.readinto(view[filled:filled + _BLOB_CHUNK])
+            if not got:  # the file shrank since fstat
+                break
+            hashed.append(hasher.submit(digest.update, view[filled:filled + got]))
+            filled += got
+    for update in hashed:
+        update.result()
+    blob.flags.writeable = False
+    return blob[:filled], digest.hexdigest()
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: json reads true and false as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a manifest.json + weights.bin directory (or manifest path).
 
-    The tensors are read-only views into the one checksummed blob.
+    The blob is read and checksummed in one pass; the tensors are
+    read-only views into it, built only once the checksum matches.
     """
     path = Path(path)
     directory = path.parent if path.name == MANIFEST_NAME else path
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise WeightError(f"{manifest_path}: no manifest found")
-    manifest = read_json(manifest_path, WeightError)
+    try:
+        manifest = read_json(manifest_path, WeightError)
+    except OSError as exc:
+        raise WeightError(f"{manifest_path}: cannot read: {exc.strerror or exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
     blob_path = directory / BLOB_NAME
     if not blob_path.exists():
         raise WeightError(f"{blob_path}: missing weight blob")
-    blob = blob_path.read_bytes()
 
     checksum = manifest.get("checksum")
     if not isinstance(checksum, str) or not checksum.startswith("sha256:"):
         raise WeightError(f"{manifest_path}: missing or malformed checksum")
-    digest = "sha256:" + hashlib.sha256(blob).hexdigest()
-    if digest != checksum:
+    try:
+        blob, digest = _read_hashed(blob_path)
+    except OSError as exc:
+        raise WeightError(f"{blob_path}: cannot read: {exc.strerror or exc}") from exc
+    if "sha256:" + digest != checksum:
         raise WeightError(f"{blob_path}: checksum mismatch (corrupt or truncated blob)")
 
     tensors: dict[str, np.ndarray] = {}
     for i, entry in enumerate(manifest.get("tensors", [])):
         try:
-            name = entry["name"]
-            if not isinstance(name, str):
-                raise TypeError("name must be a string")
-            shape = tuple(int(d) for d in entry["shape"])
-            offset, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            name, shape = entry["name"], entry["shape"]
+            offset, length = entry["offset"], entry["length"]
+        except (KeyError, TypeError) as exc:
             raise WeightError(f"{manifest_path}: malformed tensor entry {i}: {exc!r}") from exc
+        if not isinstance(name, str):
+            raise WeightError(f"{manifest_path}: malformed tensor entry {i}: "
+                              "name must be a string")
+        if not (isinstance(shape, list) and all(map(_is_int, shape))
+                and _is_int(offset) and _is_int(length)):
+            raise WeightError(f"tensor {name!r}: shape, offset and length must be "
+                              "JSON integers")
+        if name in tensors:
+            raise WeightError(f"tensor {name!r}: listed twice")
         if entry.get("dtype") != "f32":
             raise WeightError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
         count = math.prod(shape)  # exact: an int64 product could wrap
         if (min(shape, default=0) < 0 or offset < 0 or length != 4 * count
                 or offset + length > len(blob)):
             raise WeightError(f"tensor {name!r}: offset/length outside blob")
+        if offset % 4:
+            raise WeightError(f"tensor {name!r}: offset {offset} is not a multiple of 4")
         try:
-            tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                          offset=offset).reshape(shape)
+            tensors[name] = blob[offset:offset + length].view("<f4").reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
             raise WeightError(f"tensor {name!r}: {exc}") from exc
     return tensors, manifest

@@ -159,6 +159,12 @@ def test_lowpass_is_resample_poly_default_and_read_only():
     assert corpus._polyphase(160, 441) is plan
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8821, 8822, 320001])
+def test_half_kaiser_window_is_numpys_bit_for_bit(m):
+    # 8821 taps for 44.1 kHz, 320001 for 16001 Hz
+    assert np.array_equal(corpus._kaiser(m, 5.0), np.kaiser(m, 5.0))
+
+
 def test_lowpass_cache_stays_bounded(tmp_path):
     corpus._polyphase.cache_clear()
     rates = (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000)

@@ -93,3 +93,33 @@ def test_corpus_convert_workers_write_same_bytes_in_a_fresh_process(tmp_path):
     serial, parallel = outs
     assert len([n for n in serial if n.endswith(".wav")]) == 6
     assert serial == parallel
+
+
+_LOAD_THEN_COUNT_THREADS = """
+import sys
+import threading
+from scribo import net
+from scribo.errors import WeightError
+
+try:
+    net.load_weights(sys.argv[1])
+    outcome = "loaded"
+except WeightError as exc:
+    outcome = "checksum" if "checksum mismatch" in str(exc) else repr(exc)
+print(outcome, threading.active_count())
+"""
+
+
+def test_load_leaves_no_thread_behind(tiny_model_dir, tmp_path):
+    # the blob is hashed in a thread while it is read; that thread ends
+    # with the load, whether the checksum matches or not
+    corrupt = tmp_path / "corrupt"
+    corrupt.mkdir()
+    for name in ("manifest.json", "weights.bin"):
+        (corrupt / name).write_bytes((tiny_model_dir / name).read_bytes())
+    blob = bytearray((corrupt / "weights.bin").read_bytes())
+    blob[-1] ^= 0x01
+    (corrupt / "weights.bin").write_bytes(bytes(blob))
+    assert python("-c", _LOAD_THEN_COUNT_THREADS, str(tiny_model_dir)).split() == \
+        ["loaded", "1"]
+    assert python("-c", _LOAD_THEN_COUNT_THREADS, str(corrupt)).split() == ["checksum", "1"]

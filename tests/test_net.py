@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -923,6 +924,116 @@ def test_read_rejects_bad_tensor_entry(tmp_path, entry):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(WeightError):
         net.read_tensor_blob(tmp_path)
+
+
+@pytest.mark.parametrize("entry", [
+    {"offset": "0"},
+    {"offset": False},
+    {"offset": 0.0},
+    {"shape": ["2"], "length": "8"},
+    {"shape": [2.5]},  # int() would read 2
+    {"shape": "2"},  # iterating it would read (2,)
+    {"shape": [1], "offset": 2, "length": 4},  # inside the blob, unaligned
+])
+def test_read_refuses_entries_the_writer_never_writes(tmp_path, entry):
+    # table values are JSON integers and offsets multiples of 4
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tensors"][0].update(entry)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(WeightError, match="'x'"):
+        net.read_tensor_blob(tmp_path)
+
+
+def test_read_refuses_a_tensor_listed_twice(tmp_path):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tensors"].append({**manifest["tensors"][0], "shape": [1], "length": 4})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(WeightError, match="'x'.*twice"):
+        net.read_tensor_blob(tmp_path)
+
+
+@pytest.mark.parametrize("name", [net.MANIFEST_NAME, net.BLOB_NAME])
+def test_load_names_a_file_it_cannot_read(tiny_model_dir, tmp_path, name):
+    for other in (net.MANIFEST_NAME, net.BLOB_NAME):
+        if other != name:
+            (tmp_path / other).write_bytes((tiny_model_dir / other).read_bytes())
+    (tmp_path / name).mkdir()
+    with pytest.raises(WeightError, match=name):
+        net.load_weights(tmp_path)
+
+
+def _read_in_two_passes(directory):
+    """The tensors of a valid blob as the reader read them before it
+    hashed while reading: the whole file, its sha256, then frombuffer."""
+    manifest = json.loads((directory / net.MANIFEST_NAME).read_text())
+    blob = (directory / net.BLOB_NAME).read_bytes()
+    assert manifest["checksum"] == "sha256:" + hashlib.sha256(blob).hexdigest()
+    return {t["name"]: np.frombuffer(blob, dtype="<f4", count=math.prod(t["shape"]),
+                                     offset=t["offset"]).reshape(t["shape"])
+            for t in manifest["tensors"]}
+
+
+@pytest.mark.parametrize("floats", [0, 1, 6, 7, 8, 13, 14, 15, 21])
+def test_chunked_read_matches_two_pass_read(tmp_path, monkeypatch, floats):
+    # 7-byte chunks: blobs of 4 * floats bytes end before, at (28 and 56
+    # bytes) and after a chunk boundary; 0 floats is the empty tensor set
+    monkeypatch.setattr(net, "_BLOB_CHUNK", 7)
+    rng = np.random.default_rng(floats)
+    tensors = {"empty": np.zeros((0, 3), np.float32),
+               "scalar": np.asarray(rng.normal(), dtype=np.float32),
+               "rest": rng.normal(size=floats - 1).astype(np.float32)} if floats else {}
+    net.write_tensor_blob(tmp_path, tensors)
+    assert (tmp_path / net.BLOB_NAME).stat().st_size == 4 * floats
+    got, _ = net.read_tensor_blob(tmp_path)
+    want = _read_in_two_passes(tmp_path)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes()
+        assert not got[name].flags.writeable
+
+
+@pytest.mark.parametrize("flip", [0, 24, 40, -1])
+def test_chunked_read_rejects_a_flipped_byte(tmp_path, monkeypatch, flip):
+    # 44 bytes in 7-byte chunks: a byte of the first, a middle and the
+    # last chunk, and the last byte
+    monkeypatch.setattr(net, "_BLOB_CHUNK", 7)
+    net.write_tensor_blob(tmp_path, {"x": np.arange(11, dtype=np.float32)})
+    blob = bytearray((tmp_path / net.BLOB_NAME).read_bytes())
+    blob[flip] ^= 0x01
+    (tmp_path / net.BLOB_NAME).write_bytes(bytes(blob))
+    with pytest.raises(WeightError, match="checksum mismatch"):
+        net.read_tensor_blob(tmp_path)
+
+
+def test_chunked_read_rejects_a_blob_one_byte_short(tmp_path, monkeypatch):
+    monkeypatch.setattr(net, "_BLOB_CHUNK", 7)
+    net.write_tensor_blob(tmp_path, {"x": np.arange(7, dtype=np.float32)})
+    short = (tmp_path / net.BLOB_NAME).read_bytes()[:-1]
+    (tmp_path / net.BLOB_NAME).write_bytes(short)
+    with pytest.raises(WeightError, match="checksum mismatch"):
+        net.read_tensor_blob(tmp_path)
+    # with its checksum, the entry reaches past it
+    manifest = json.loads((tmp_path / net.MANIFEST_NAME).read_text())
+    manifest["checksum"] = "sha256:" + hashlib.sha256(short).hexdigest()
+    (tmp_path / net.MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(WeightError, match="outside blob"):
+        net.read_tensor_blob(tmp_path)
+
+
+def test_write_makes_no_copy_of_the_blob(tmp_path):
+    tensors = {f"t{i:02d}": np.full(1 << 18, i, dtype=np.float32) for i in range(16)}
+    tracemalloc.start()
+    try:
+        net.write_tensor_blob(tmp_path, tensors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # the blob is 16 MiB
+    back, _ = net.read_tensor_blob(tmp_path)
+    assert all(np.array_equal(back[name], tensors[name]) for name in tensors)
 
 
 @pytest.mark.parametrize("text", ['{"tensors": [], "x": 1' + "0" * 5000 + "}",
