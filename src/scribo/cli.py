@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import resource
 import statistics
@@ -121,6 +122,23 @@ def _count(what: str):
     return parse
 
 
+def _finite(what: str, low: float | None = None):
+    """An argparse type for a finite float, and >= ``low`` if given;
+    anything else is a usage error naming ``what``."""
+    bound = "" if low is None else f" >= {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x) or (low is not None and x < low):
+            raise argparse.ArgumentTypeError(f"{what} must be a finite number{bound}, "
+                                             f"got {text!r}")
+        return x
+    return parse
+
+
 def _map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on ``workers`` threads when above 1."""
     if workers == 1:
@@ -145,8 +163,9 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
                    help="auto = greedy unless --arpa is given")
     p.add_argument("--beam-width", type=_count("beam width"), default=256)
     p.add_argument("--arpa", help="ARPA model for shallow fusion (implies beam)")
-    p.add_argument("--alpha", type=float, default=0.8, help="LM weight")
-    p.add_argument("--beta", type=float, default=1.0, help="word insertion bonus")
+    p.add_argument("--alpha", type=_finite("LM weight", 0.0), default=0.8, help="LM weight")
+    p.add_argument("--beta", type=_finite("word insertion bonus"), default=1.0,
+                   help="word insertion bonus")
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ from .textnorm import AlphabetSpec
 
 LOG10 = math.log(10.0)
 _NEG_INF = float("-inf")
-# Nodes a beam search may add to its prefix trie between compactions.
-# The trie and the LM memo otherwise grow with every frame (about 0.2 M
-# nodes for 30 s at width 256); each compaction keeps only the live
-# beams and their ancestors, so memory stays bounded on long clips.
-_TRIE_SLACK = 1 << 14
+# Entries at which a beam search clears its memo of LM word scores, so
+# the memo stays bounded on long clips (about 58 new words a frame at
+# width 256 on the benchmark's clips).
+_MEMO_LIMIT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,8 @@ class DecodeParams:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 
@@ -97,103 +98,6 @@ def word_error_rate(reference: str, hypothesis: str) -> float:
     return prev[-1] / len(ref)
 
 
-class _PrefixTrie:
-    """The prefixes of a beam search, as integer node ids.
-
-    Node 0 is the empty prefix. Parallel lists hold each node's parent
-    and last label, and the LM bookkeeping of its text: the number of
-    completed words, the summed log10 score of those words, the last
-    order-1 of them (the context of the next word) and the word still
-    being spelled. A child is created once, through a dict keyed on
-    (parent, label) packed into one int, so its state is computed once;
-    LM word scores are memoized on (context, word). Both hold until
-    `compact` drops the nodes no live beam descends from.
-    """
-
-    def __init__(self, alphabet: AlphabetSpec, space_id: int | None, lm):
-        self.parent = [-1]
-        self.label = [-1]
-        self.n_words = [0]
-        self.lm_log10 = [0.0]
-        self.context: list[tuple[str, ...]] = [()]
-        self.pending = [""]
-        self._symbols = alphabet.symbols
-        self._space = space_id
-        self._lm = lm
-        self._context_len = lm.order - 1 if lm is not None else 0
-        self._children: dict[int, int] = {}
-        self._scores: dict[tuple[tuple[str, ...], str], float] = {}
-
-    def score(self, context: tuple[str, ...], word: str) -> float:
-        """log10 p(word | context), or 0.0 without an active LM."""
-        if self._lm is None:
-            return 0.0
-        key = (context, word)
-        val = self._scores.get(key)
-        if val is None:
-            val = self._scores[key] = self._lm.score_word(list(context), word)
-        return val
-
-    def child(self, node: int, label: int) -> int:
-        """Node id of prefix(node) + label, created on first use."""
-        key = node * len(self._symbols) + label
-        kid = self._children.get(key)
-        if kid is not None:
-            return kid
-        kid = self._children[key] = len(self.parent)
-        n_words, lm_log10 = self.n_words[node], self.lm_log10[node]
-        context, pending = self.context[node], self.pending[node]
-        if label != self._space:
-            pending += self._symbols[label]
-        elif pending:
-            n_words += 1
-            lm_log10 += self.score(context, pending)
-            context = (context + (pending,))[-self._context_len:] if self._context_len else ()
-            pending = ""
-        self.parent.append(node)
-        self.label.append(label)
-        self.n_words.append(n_words)
-        self.lm_log10.append(lm_log10)
-        self.context.append(context)
-        self.pending.append(pending)
-        return kid
-
-    def compact(self, live: list[int]) -> np.ndarray:
-        """Keep only the live nodes and their ancestors, and forget the
-        memoized LM scores. Kept nodes are renumbered in creation order
-        (parents before children); returns each old id's new id, -1 for
-        a dropped node."""
-        keep = [False] * len(self.parent)
-        for n in live:
-            while n >= 0 and not keep[n]:
-                keep[n] = True
-                n = self.parent[n]
-        old = [i for i, k in enumerate(keep) if k]
-        new_id = np.full(len(keep), -1, dtype=np.int64)
-        new_id[old] = np.arange(len(old))
-        renum = new_id.tolist()
-        self.parent = [renum[self.parent[i]] if i else -1 for i in old]
-        self.label = [self.label[i] for i in old]
-        self.n_words = [self.n_words[i] for i in old]
-        self.lm_log10 = [self.lm_log10[i] for i in old]
-        self.context = [self.context[i] for i in old]
-        self.pending = [self.pending[i] for i in old]
-        stride = len(self._symbols)
-        self._children = {self.parent[k] * stride + self.label[k]: k
-                          for k in range(1, len(old))}
-        self._scores.clear()
-        return new_id
-
-    def lm_terms(self, nodes: list[int]) -> tuple[list[float], list[int]]:
-        """LM log10 sums and completed-word counts of the given nodes."""
-        return [self.lm_log10[n] for n in nodes], [self.n_words[n] for n in nodes]
-
-    def labels(self, node: int) -> tuple[int, ...]:
-        out = []
-        while node > 0:
-            out.append(self.label[node])
-            node = self.parent[node]
-        return tuple(reversed(out))
 
 
 def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hypothesis]:
@@ -209,37 +113,55 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
     Per frame the B live beams and their B x S one-symbol extensions
     are scored with numpy and the best beam_width kept; candidates
     tied at the cutoff go shorter prefix first, then lexicographic by
-    label. Only the LM and trie bookkeeping is per-beam Python work.
+    label. Only the LM state of the new beams is per-beam Python work.
     """
     logits = _check_width(logits, alphabet)
-    lm_active = params.lm is not None and params.alpha != 0.0
+    lm = params.lm if params.alpha != 0.0 else None
     space_id = alphabet.index(" ") if " " in alphabet.symbols else None
     if params.lm is not None and space_id is None:
         raise ValueError("LM fusion needs a space symbol in the alphabet")
-    lm_weight = params.alpha * LOG10 if lm_active else 0.0
+    lm_weight = params.alpha * LOG10 if lm is not None else 0.0
     beta = params.beta
     width = params.beam_width
     blank = alphabet.blank_index
     n_sym = alphabet.size
-    trie = _PrefixTrie(alphabet, space_id, params.lm if lm_active else None)
-    trie_limit = _TRIE_SLACK
+    symbols = alphabet.symbols
+    context_len = lm.order - 1 if lm is not None else 0
+    memo: dict[tuple[tuple[str, ...], str], float] = {}
 
-    # The live beams as parallel arrays: trie node, its parent and last
-    # label, blank- and non-blank-ending log mass, and the LM sum and
-    # word count of the prefix and of its space child.
-    nodes = np.zeros(1, dtype=np.int64)
-    up = np.full(1, -1)
+    def score(context: tuple[str, ...], word: str) -> float:
+        """log10 p(word | context), or 0.0 without an active LM."""
+        if lm is None:
+            return 0.0
+        key = (context, word)
+        val = memo.get(key)
+        if val is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            val = memo[key] = lm.score_word(list(context), word)
+        return val
+
+    # The live beams as parallel arrays: the prefix as a string of label
+    # code points, the prefix it extends (None for the empty one) and its
+    # last label, blank- and non-blank-ending log mass, and the LM state
+    # of its text: the log10 sum and count of its completed words, the
+    # last order-1 of them and the word still being spelled. sp_lm and
+    # sp_words are the sum and count once that word ends too, as in its
+    # space extension and in its hypothesis at end of input.
+    prefix = np.array([""], dtype=object)
+    parent = np.array([None], dtype=object)
+    context = np.empty(1, dtype=object)
+    context[0] = ()
+    pending = prefix.copy()
     last = np.full(1, -1)
     pb = np.zeros(1)
     pnb = np.full(1, _NEG_INF)
     lm_sum = np.zeros(1)
     words = np.zeros(1, dtype=np.int64)
     sp_lm, sp_words = lm_sum.copy(), words.copy()
-    if space_id is not None:
-        sp_lm[:], sp_words[:] = trie.lm_terms([trie.child(0, space_id)])
 
     for row in np.asarray(logits, dtype=np.float64):
-        n_beams = nodes.size
+        n_beams = prefix.size
         p = row[:n_sym]
         ptot = np.logaddexp(pb, pnb)
         grown = ptot[:, None] + p
@@ -251,10 +173,12 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
         stay_pnb = np.full(n_beams, _NEG_INF)
         stay_pnb[rep] = pnb[rep] + p_rep
 
-        # the extension spelling a live beam merges into that beam
-        by_node = np.argsort(nodes)
-        j = by_node[np.minimum(np.searchsorted(nodes, up, sorter=by_node), n_beams - 1)]
-        merged = np.flatnonzero(nodes[j] == up)
+        # the extension spelling a live beam merges into that beam; a
+        # parent that is live holds the very prefix object, so each
+        # lookup is a hit on identity
+        index = dict(zip(prefix.tolist(), range(n_beams)))
+        j = np.array([index.get(u, -1) for u in parent.tolist()])
+        merged = np.flatnonzero(j >= 0)
         dropped = j[merged] * n_sym + last[merged]
         stay_pnb[merged] = np.logaddexp(stay_pnb[merged], grown.ravel()[dropped])
 
@@ -262,26 +186,26 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
         # each scored as acoustic + alpha*ln(10)*lm + beta*words
         lm_term = lm_weight * lm_sum
         word_term = beta * words
-        score = grown + lm_term[:, None]
-        score += word_term[:, None]
+        score_all = grown + lm_term[:, None]
+        score_all += word_term[:, None]
         if space_id is not None:
-            score[:, space_id] = grown[:, space_id] + lm_weight * sp_lm + beta * sp_words
-        score = np.concatenate([np.logaddexp(stay_pb, stay_pnb) + lm_term + word_term,
-                                score.ravel()])
-        live = np.delete(np.arange(score.size), dropped + n_beams)
+            score_all[:, space_id] = grown[:, space_id] + lm_weight * sp_lm + beta * sp_words
+        score_all = np.concatenate([np.logaddexp(stay_pb, stay_pnb) + lm_term + word_term,
+                                    score_all.ravel()])
+        live = np.delete(np.arange(score_all.size), dropped + n_beams)
         if live.size > width:
-            neg = -score[live]
+            neg = -score_all[live]
             cut = np.partition(neg, width - 1)[width - 1]
             keep = live[neg < cut]
             tied = live[neg == cut]
             if keep.size + tied.size > width:
                 def prefix_order(c):
                     if c < n_beams:
-                        labels = trie.labels(int(nodes[c]))
+                        text = prefix[c]
                     else:
                         b, s = divmod(c - n_beams, n_sym)
-                        labels = trie.labels(int(nodes[b])) + (s,)
-                    return len(labels), labels
+                        text = prefix[b] + chr(s)
+                    return len(text), text
 
                 tied = np.array(sorted(tied.tolist(), key=prefix_order)[: width - keep.size],
                                 dtype=np.int64)
@@ -292,34 +216,31 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
         lab = np.where(ext, (live - n_beams) % n_sym, last[src])
         pb = np.where(ext, _NEG_INF, stay_pb[src])
         pnb = np.where(ext, grown[src, lab], stay_pnb[src])
-        up = np.where(ext, nodes[src], up[src])
+        parent = np.where(ext, prefix[src], parent[src])
         last = lab
-        nodes = nodes[src]
+        prefix, context, pending = prefix[src], context[src], pending[src]
         lm_sum, words = lm_sum[src], words[src]
         sp_lm, sp_words = sp_lm[src], sp_words[src]
+        # each new beam derives its LM state from its source beam's: a
+        # letter extends the pending word, a space after a word takes
+        # the source's sp terms and moves the word into the context
         new = np.flatnonzero(ext)
-        if new.size:
-            kids = [trie.child(n, s) for n, s in zip(up[new].tolist(), lab[new].tolist())]
-            nodes[new] = kids
-            lm_sum[new], words[new] = trie.lm_terms(kids)
-            if space_id is not None:
-                sp_lm[new], sp_words[new] = trie.lm_terms(
-                    [trie.child(k, space_id) for k in kids])
-        if len(trie.parent) > trie_limit:
-            new_id = trie.compact(nodes.tolist())
-            nodes = new_id[nodes]
-            up = np.where(up >= 0, new_id[up], -1)
-            trie_limit = len(trie.parent) + _TRIE_SLACK
+        for i, s in zip(new.tolist(), lab[new].tolist()):
+            prefix[i] += chr(s)
+            if s != space_id:
+                pending[i] += symbols[s]
+                sp_lm[i] = lm_sum[i] + score(context[i], pending[i])
+                sp_words[i] = words[i] + 1
+            elif pending[i]:
+                lm_sum[i], words[i] = sp_lm[i], sp_words[i]
+                context[i] = (context[i] + (pending[i],))[-context_len:] if context_len else ()
+                pending[i] = ""
 
     hyps = []
-    for n, acoustic in zip(nodes.tolist(), np.logaddexp(pb, pnb).tolist()):
-        lm_total = trie.lm_log10[n]
-        pending = trie.pending[n]
-        if lm_active and pending:
-            lm_total += trie.score(trie.context[n], pending)
-        n_words = trie.n_words[n] + (1 if pending else 0)
+    for text, acoustic, lm_total, n_words in zip(prefix.tolist(), np.logaddexp(pb, pnb).tolist(),
+                                                 sp_lm.tolist(), sp_words.tolist()):
         combined = acoustic + lm_weight * lm_total + beta * n_words
-        text = "".join(alphabet.symbols[i] for i in trie.labels(n))
-        hyps.append(Hypothesis(text, acoustic, lm_total if lm_active else 0.0, combined))
+        hyps.append(Hypothesis("".join(symbols[ord(c)] for c in text), acoustic,
+                               lm_total if lm is not None else 0.0, combined))
     hyps.sort(key=lambda h: (-h.combined, len(h.text), h.text))
     return hyps

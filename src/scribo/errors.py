@@ -33,10 +33,12 @@ class WeightError(ScriboError):
 
 def read_json(path, error: type[ScriboError]):
     """The parsed content of a JSON file; ``error`` naming the file if it
-    is not JSON. A missing or unreadable file raises OSError as usual."""
+    cannot be read (missing, a directory) or is not JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bad UTF-8 and an integer literal
         # longer than int() converts; RecursionError deep nesting

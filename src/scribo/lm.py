@@ -172,6 +172,8 @@ def parse_arpa(path) -> NgramModel:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ArpaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ArpaError(f"{path}: not UTF-8 text: {exc}") from exc
 

@@ -786,10 +786,7 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise WeightError(f"{manifest_path}: no manifest found")
-    try:
-        manifest = read_json(manifest_path, WeightError)
-    except OSError as exc:
-        raise WeightError(f"{manifest_path}: cannot read: {exc.strerror or exc}") from exc
+    manifest = read_json(manifest_path, WeightError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
     blob_path = directory / BLOB_NAME

@@ -115,6 +115,22 @@ def test_count_below_one_is_usage_error(capsys, argv, flag, what, count):
     assert flag in err and what in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "-0.5"), ("--alpha", "x"),
+    ("--beta", "nan"), ("--beta", "inf"), ("--beta", "-inf"),
+])
+def test_fusion_weight_out_of_range_is_usage_error(capsys, tmp_path, flag, value):
+    # refused by the parser, before the garbage ARPA file is parsed
+    arpa = tmp_path / "garbage.arpa"
+    arpa.write_text("not an arpa file\n")
+    decoder = ["--arpa", str(arpa)] if flag == "--alpha" else ["--decoder", "beam"]
+    code, out, err = run_cli(capsys, "decode", "--logits", str(tmp_path / "logits"),
+                             "--alphabet", "en", *decoder, f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert flag in err and "finite" in err
+
+
 def test_missing_model_directory_is_data_error(capsys, tmp_path):
     wav = tmp_path / "a.wav"
     write_wav(wav, tone(0.2))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scribo import ctcdecoder
@@ -147,6 +147,14 @@ def test_beam_width_validation():
         DecodeParams(beam_width=0)
 
 
+@pytest.mark.parametrize("weights", [{"alpha": math.nan}, {"alpha": math.inf},
+                                     {"beta": math.nan}, {"beta": math.inf},
+                                     {"beta": -math.inf}], ids=repr)
+def test_fusion_weights_must_be_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        DecodeParams(**weights)
+
+
 def test_beam_counts_words_in_combined():
     sp = AlphabetSpec(symbols=" ab")
     rows = []
@@ -286,6 +294,10 @@ def random_logits(seed, frames, width, rounded=False):
        with_space=st.booleans(), width=st.integers(1, 64),
        alpha=st.floats(0.0, 2.0), beta=st.floats(-1.0, 2.0),
        lm=st.sampled_from([None, UNIGRAM_LM, TRIGRAM_LM]), rounded=st.booleans())
+# a beam's parent prefix is dropped and re-created by another beam, so
+# merges must find a parent by its content, not by which beam made it
+@example(seed=28, frames=6, vocab=3, with_space=False, width=28, alpha=0.8, beta=1.0,
+         lm=None, rounded=True)
 def test_beam_decode_matches_reference(seed, frames, vocab, with_space, width, alpha, beta,
                                        lm, rounded):
     symbols = (" " + "abc"[:vocab - 1]) if with_space else "abcd"[:vocab]
@@ -328,8 +340,9 @@ def test_lm_scores_each_key_once_and_no_more_than_reference(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trie_compaction_changes_nothing(monkeypatch, seed):
-    # compact after every few new nodes instead of every 16k
-    monkeypatch.setattr(ctcdecoder, "_TRIE_SLACK", 8)
+    # clear the LM memo every few entries instead of every 8k: the one
+    # step that bounds the search's memory on long clips
+    monkeypatch.setattr(ctcdecoder, "_MEMO_LIMIT", 8)
     if seed < 4:
         alphabet, logits, width = AlphabetSpec(tuple(" ab")), random_logits(seed, 12, 4, seed % 2), 16
     else:

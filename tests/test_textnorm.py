@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scribo.errors import RuleFileError, ScriboError
+from scribo.errors import ArpaError, RuleFileError, ScriboError
+from scribo.lm import parse_arpa
 from scribo.textnorm import (ALPHABETS, AlphabetSpec, NormRules, load_rules,
                              normalize_text, number_to_words, shipped_rules,
                              transliterate)
@@ -133,6 +134,18 @@ def test_load_rules_malformed_json(tmp_path):
     f.write_text("{not json")
     with pytest.raises(RuleFileError):
         load_rules(f)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("read,error", [
+    (load_rules, RuleFileError), (AlphabetSpec.from_json, ScriboError), (parse_arpa, ArpaError),
+], ids=["rules", "alphabet", "arpa"])
+def test_reader_names_a_file_it_cannot_read(tmp_path, read, error, kind):
+    path = tmp_path / "input.file"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(error, match=r"input\.file: cannot read: "):
+        read(path)
 
 
 def test_shipped_rules_exist():
