@@ -28,10 +28,11 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import lm as lm_mod
 from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
-from .errors import DatasetError, ScriboError, WeightError
+from .errors import DatasetError, ScriboError, WeightError, decode_text, read_text
 from .features import SAMPLE_RATE, load_wav, logmel, normalize_features
-from .net import (THREAD_ENV, LoadedModel, adapt_alphabet, forward, forward_streaming,
-                  load_weights, param_count, read_tensor_blob, row_parts, save_weights)
+from .net import (MAX_INIT_SCALE, THREAD_ENV, LoadedModel, adapt_alphabet, forward,
+                  forward_streaming, load_weights, param_count, read_tensor_blob, row_parts,
+                  save_weights)
 from .textnorm import ALPHABETS, AlphabetSpec, load_rules, normalize_text, shipped_rules
 
 log = logging.getLogger(__name__)
@@ -99,10 +100,7 @@ def _model_dir(args) -> Path:
 
 
 def _fractions(text: str) -> list[float]:
-    try:
-        parts = [float(p) for p in text.split(",") if p]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad fractions {text!r}") from None
+    parts = [_finite("each fraction", 0.0)(p) for p in text.split(",") if p]
     if not parts:
         raise argparse.ArgumentTypeError("fractions must be non-empty")
     return parts
@@ -122,17 +120,18 @@ def _count(what: str):
     return parse
 
 
-def _finite(what: str, low: float | None = None):
-    """An argparse type for a finite float, and >= ``low`` if given;
+def _finite(what: str, low: float = -math.inf, high: float = math.inf):
+    """An argparse type for a finite float from ``low`` to ``high``;
     anything else is a usage error naming ``what``."""
-    bound = "" if low is None else f" >= {low:g}"
+    bound = " and".join(f" {op} {b:g}" for op, b in ((">=", low), ("<=", high))
+                        if math.isfinite(b))
 
     def parse(text: str) -> float:
         try:
             x = float(text)
         except ValueError:
             x = math.nan
-        if not math.isfinite(x) or (low is not None and x < low):
+        if not (math.isfinite(x) and low <= x <= high):
             raise argparse.ArgumentTypeError(f"{what} must be a finite number{bound}, "
                                              f"got {text!r}")
         return x
@@ -386,9 +385,9 @@ def cmd_normalize(args) -> int:
     if args.text is not None:
         lines = [args.text]
     elif args.infile:
-        lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
+        lines = read_text(args.infile, ScriboError).splitlines()
     else:
-        lines = [line.rstrip("\n") for line in sys.stdin]
+        lines = decode_text(sys.stdin.buffer.read(), "<stdin>", ScriboError).splitlines()
     for line in lines:
         result = normalize_text(line, rules, alphabet)
         _emit(args, {"text": result}, result)
@@ -409,7 +408,7 @@ def cmd_lm_ppl(args) -> int:
     if args.text is not None:
         words = args.text.split()
     elif args.infile:
-        words = Path(args.infile).read_text(encoding="utf-8").split()
+        words = read_text(args.infile, ScriboError).split()
     else:
         raise ScriboError("lm ppl needs --text or --in")
     ppl = model.perplexity(words, with_markers=not args.no_markers)
@@ -471,8 +470,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
-    hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
+    ref_lines = read_text(args.ref, ScriboError).splitlines()
+    hyp_lines = read_text(args.hyp, ScriboError).splitlines()
     if len(ref_lines) != len(hyp_lines):
         raise ScriboError(
             f"line count mismatch: {args.ref} has {len(ref_lines)}, "
@@ -580,7 +579,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True, help="target alphabet preset or JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--init", choices=("zero", "uniform"), default="zero")
-    p.add_argument("--scale", type=float, default=0.01)
+    p.add_argument("--scale", type=_finite("scale", 0.0, MAX_INIT_SCALE), default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_adapt)
 
@@ -615,10 +614,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"scribo: error: {exc}", file=sys.stderr)
         return 1
-    except ScriboError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ScriboError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioFormatError, DatasetError
+from .errors import AudioFormatError, DatasetError, read_text
 from .features import SAMPLE_RATE, _open_wav, _read_samples
 
 log = logging.getLogger(__name__)
@@ -293,14 +293,7 @@ def _probe_or_zero(path: Path) -> float:
 def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
     import csv
 
-    try:
-        raw = tsv_path.read_bytes()
-        text = raw.decode("utf-8")
-    except OSError as exc:
-        raise DatasetError(f"{tsv_path}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetError(f"{tsv_path}: line {line}: not UTF-8: {exc.reason}") from exc
+    text = read_text(tsv_path, DatasetError)
     # Common Voice writes sentences verbatim: a quote is text, not quoting
     reader = csv.DictReader(io.StringIO(text, newline=""), delimiter="\t",
                             quoting=csv.QUOTE_NONE)
@@ -341,10 +334,7 @@ def _read_folder_txt(folder: Path) -> list[DatasetItem]:
         if not transcript.exists():
             skipped += 1
             continue
-        try:
-            text = transcript.read_text(encoding="utf-8").strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"{transcript}: cannot read transcript: {exc}") from exc
+        text = read_text(transcript, DatasetError).strip()
         items.append(DatasetItem(audio.name, text, _probe_or_zero(audio)))
     if skipped:
         log.warning("%s: %d wav files have no .txt transcript", folder, skipped)
@@ -354,10 +344,7 @@ def _read_folder_txt(folder: Path) -> list[DatasetItem]:
 def read_manifest(path) -> list[DatasetItem]:
     """Read the package's tab-separated manifest format."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"{path}: cannot read manifest: {exc}") from exc
+    lines = read_text(path, DatasetError).splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty manifest (missing header)")
     header = lines[0].split("\t")
@@ -510,12 +497,14 @@ def split_dataset(items, fractions, seed: int = 0, by_key: str | None = None,
                   names=None) -> dict[str, list[DatasetItem]]:
     """Partition items randomly or by a grouping key.
 
-    Fractions must sum to 1; sizes follow the largest-remainder rule.
+    Fractions must be finite, >= 0 and sum to 1; sizes follow the largest-remainder rule.
     With ``by_key`` (an item attribute, e.g. "speaker") every group
     lands in exactly one partition, chosen greedily to fill the largest
     remaining deficit. Fixed seed means identical output.
     """
     items = list(items)
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be finite and >= 0, got {list(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     part_names = _partition_names(len(fractions), names)

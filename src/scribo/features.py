@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AudioFormatError
+from .errors import AudioFormatError, opened
 
 SAMPLE_RATE = 16000
 
@@ -176,11 +176,8 @@ def _open_wav(path):
     Any other file, or one that cannot be read, raises AudioFormatError
     naming it.
     """
-    try:
-        with open(path, "rb") as fh:
-            yield fh, _wav_format(fh, path)
-    except OSError as exc:
-        raise AudioFormatError(f"{path}: cannot read: {exc}") from exc
+    with opened(path, AudioFormatError) as fh:
+        yield fh, _wav_format(fh, path)
 
 
 def _read_samples(fh, fmt: _WavFormat) -> np.ndarray:

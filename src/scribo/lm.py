@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ArpaError
+from .errors import ArpaError, read_text
 
 log = logging.getLogger(__name__)
 
@@ -169,13 +169,7 @@ def parse_arpa(path) -> NgramModel:
     consistency (every k-gram's prefix present as a (k-1)-gram) is
     checked and violations are logged, not fatal.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ArpaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ArpaError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_text(path, ArpaError).splitlines()
 
     it = iter(enumerate(lines, 1))
     for _, line in it:
@@ -237,16 +231,14 @@ def parse_arpa(path) -> NgramModel:
                 f"header declares {counts[k]} {k}-grams but file has {len(raw_tables[k - 1])}"
             )
 
-    id_to_token: list[str] = [""] * len(interner)
-    for tok, i in interner.items():
-        id_to_token[i] = tok
-    model = NgramModel(order, raw_tables, id_to_token)
+    # interned ids count up from 0 in insertion order
+    model = NgramModel(order, raw_tables, list(interner))
     _check_prefix_consistency(model)
     return model
 
 
-def _check_prefix_consistency(model: NgramModel) -> int:
-    """Log ARPA prefix violations; return how many were found."""
+def _check_prefix_consistency(model: NgramModel) -> None:
+    """Log how many n-grams break ARPA prefix consistency."""
     bad = 0
     for k in range(2, model.order + 1):
         lower = model.tables[k - 1]
@@ -255,7 +247,6 @@ def _check_prefix_consistency(model: NgramModel) -> int:
                 bad += 1
     if bad:
         log.warning("%d n-grams have no stored prefix (inconsistent ARPA input)", bad)
-    return bad
 
 
 def serialize_arpa(model: NgramModel, path) -> None:
@@ -276,10 +267,8 @@ def serialize_arpa(model: NgramModel, path) -> None:
             )
             for key, (prob, backoff) in entries:
                 tokens = " ".join(model.id_to_token[i] for i in key)
-                if k < model.order:
-                    fh.write(f"{prob!r}\t{tokens}\t{backoff!r}\n")
-                else:
-                    fh.write(f"{prob!r}\t{tokens}\n")
+                tail = f"\t{backoff!r}" if k < model.order else ""
+                fh.write(f"{prob!r}\t{tokens}{tail}\n")
         fh.write("\n\\end\\\n")
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WeightError, read_json
+from .errors import WeightError, opened, read_json
 from .features import SAMPLE_RATE, AudioClip, FeatureConfig, logmel, normalize_features
 from .textnorm import AlphabetSpec
 
@@ -664,6 +664,9 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
 # ---------------------------------------------------------------------------
 # Alphabet adaptation
 
+#: The largest uniform-init scale: its draws must fit float32 weights
+MAX_INIT_SCALE = float(np.finfo(np.float32).max)
+
 
 def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
                    tgt: AlphabetSpec, init: str = "zero", scale: float = 0.01,
@@ -679,6 +682,9 @@ def adapt_alphabet(cfg: NetConfig, weights: NetworkWeights, src: AlphabetSpec,
     """
     if init not in ("zero", "uniform"):
         raise ValueError("init must be 'zero' or 'uniform'")
+    if not 0.0 <= scale <= MAX_INIT_SCALE:
+        raise ValueError(f"scale must be a finite number from 0 to {MAX_INIT_SCALE:g}, "
+                         f"got {scale!r}")
     if cfg.vocab_size != src.size:
         raise ValueError("cfg.vocab_size does not match the source alphabet")
 
@@ -752,7 +758,7 @@ def _read_hashed(path: Path) -> tuple[np.ndarray, str]:
     hex digest. One thread hashes each chunk, in order, while the next is
     read; it is joined before this returns or raises."""
     digest = hashlib.sha256()
-    with (open(path, "rb") as fh,
+    with (opened(path, WeightError) as fh,
           ThreadPoolExecutor(1, thread_name_prefix="scribo-sha256") as hasher):
         blob = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         view = memoryview(blob)
@@ -784,22 +790,14 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     directory = path.parent if path.name == MANIFEST_NAME else path
     manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise WeightError(f"{manifest_path}: no manifest found")
     manifest = read_json(manifest_path, WeightError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
     blob_path = directory / BLOB_NAME
-    if not blob_path.exists():
-        raise WeightError(f"{blob_path}: missing weight blob")
-
     checksum = manifest.get("checksum")
     if not isinstance(checksum, str) or not checksum.startswith("sha256:"):
         raise WeightError(f"{manifest_path}: missing or malformed checksum")
-    try:
-        blob, digest = _read_hashed(blob_path)
-    except OSError as exc:
-        raise WeightError(f"{blob_path}: cannot read: {exc.strerror or exc}") from exc
+    blob, digest = _read_hashed(blob_path)
     if "sha256:" + digest != checksum:
         raise WeightError(f"{blob_path}: checksum mismatch (corrupt or truncated blob)")
 
@@ -849,6 +847,8 @@ def save_weights(directory, cfg: NetConfig, weights: NetworkWeights,
     """Persist a model directory (manifest.json + weights.bin)."""
     if alphabet.size != cfg.vocab_size:
         raise ValueError("alphabet size does not match cfg.vocab_size")
+    if feat_cfg.mel_bins != cfg.input_features:
+        raise ValueError("feat_cfg.mel_bins does not match cfg.input_features")
     extra = {
         "model": name,
         "net": asdict(cfg),
@@ -879,5 +879,7 @@ def load_weights(path) -> LoadedModel:
     validate_weights(cfg, weights)
     if alphabet.size != cfg.vocab_size:
         raise WeightError("manifest alphabet size disagrees with net vocab_size")
+    if feat_cfg.mel_bins != cfg.input_features:
+        raise WeightError("manifest features mel_bins disagrees with net input_features")
     return LoadedModel(manifest.get("model", "model"), cfg, weights, feat_cfg, alphabet)
 

@@ -157,10 +157,7 @@ def load_rules(path: str | Path) -> NormRules:
 
 def shipped_rules(lang: str) -> NormRules:
     """Load one of the rule files bundled with the package."""
-    path = Path(__file__).parent / "rules" / f"{lang}.json"
-    if not path.exists():
-        raise RuleFileError(f"no shipped rule file for language {lang!r}")
-    return load_rules(path)
+    return load_rules(Path(__file__).parent / "rules" / f"{lang}.json")
 
 
 # ---------------------------------------------------------------------------

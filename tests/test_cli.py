@@ -1,9 +1,11 @@
 """End-to-end runs of the command-line front end via run()."""
+import io
 import json
 import math
 import re
 import shutil
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -841,3 +843,120 @@ def test_adapt_alphabet_unknown_target(capsys, tiny_model_dir, tmp_path):
                            "--out", str(tmp_path / "o"))
     assert code == 2
     assert "preset" in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "1e308", "-0.5", "x"])
+def test_adapt_alphabet_refuses_a_bad_scale_before_loading(capsys, tmp_path, scale):
+    # the model directory does not exist: a usage error comes first
+    code, _, err = run_cli(capsys, "adapt-alphabet", "--model", str(tmp_path / "absent"),
+                           "--target", "es", "--out", str(tmp_path / "o"),
+                           "--init", "uniform", f"--scale={scale}")
+    assert code == 1
+    assert "scale must be a finite number >= 0" in err
+
+
+# ------------------------------------------------------------- the read rule
+
+@pytest.mark.parametrize("fractions", ["inf,-inf,1", "nan,0,1", "1.5,-0.5,0", "0.5,,x"])
+def test_corpus_split_refuses_a_bad_fraction_before_reading(capsys, fractions):
+    code, _, err = run_cli(capsys, "corpus", "split", "--manifest", "absent.tsv",
+                           "--fractions", fractions)
+    assert code == 1
+    assert "each fraction must be a finite number >= 0" in err
+
+
+def stdin_bytes(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def test_normalize_reads_stdin(capsys, monkeypatch):
+    stdin_bytes(monkeypatch, "Guten Tag!\r\nWir kaufen 2 Äpfel.\n".encode())
+    code, out, _ = run_cli(capsys, "normalize", "--lang", "de")
+    assert code == 0
+    assert out.splitlines() == ["guten tag", "wir kaufen zwei aepfel"]
+
+
+@pytest.mark.parametrize("data", [
+    b"eins\nzwei\n", b"eins\r\nzwei\r\n", b"eins\rzwei", b"eins\n\n\nzwei",
+    b"eins\x0czwei\x1cdrei\n", "eins\u2028zwei\x85drei".encode(), b"\n", b"",
+], ids=["lf", "crlf", "cr", "blank-lines", "ff-fs", "unicode-separators", "one-newline",
+        "empty"])
+def test_normalize_splits_stdin_and_in_alike(capsys, monkeypatch, tmp_path, data):
+    # both split on the separators of str.splitlines()
+    src = tmp_path / "lines.txt"
+    src.write_bytes(data)
+    code, from_file, _ = run_cli(capsys, "--json", "normalize", "--lang", "de",
+                                 "--in", str(src))
+    assert code == 0
+    stdin_bytes(monkeypatch, data)
+    code, from_stdin, _ = run_cli(capsys, "--json", "normalize", "--lang", "de")
+    assert code == 0
+    assert from_stdin == from_file
+    assert len(jlines(from_file)) == len(data.decode().splitlines())
+
+
+def test_normalize_names_stdin_that_is_not_utf8(capsys, monkeypatch):
+    stdin_bytes(monkeypatch, b"gut\r\n\xff\n")
+    code, out, err = run_cli(capsys, "normalize", "--lang", "de")
+    assert code == 2
+    assert out == ""
+    assert "<stdin>: line 2: cannot read: not UTF-8" in err
+
+
+def test_normalize_names_an_in_file_that_is_not_utf8(capsys, tmp_path):
+    src = tmp_path / "lines.txt"
+    src.write_bytes(b"gut\rgut\r\n\xe4pfel\n")
+    code, _, err = run_cli(capsys, "normalize", "--lang", "de", "--in", str(src))
+    assert code == 2
+    assert f"{src}: line 3: cannot read: not UTF-8" in err
+
+
+def test_lm_ppl_reads_in_file(capsys, toy_arpa, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("a b\r\nb a\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--json", "lm", "ppl", "--arpa", str(toy_arpa),
+                           "--in", str(words))
+    assert code == 0
+    code, want, _ = run_cli(capsys, "--json", "lm", "ppl", "--arpa", str(toy_arpa),
+                            "--text", "a b b a")
+    assert code == 0
+    assert jlines(out) == jlines(want)
+    assert jlines(out)[0]["words"] == 4
+
+
+@pytest.mark.parametrize("body,where", [
+    (b"a b\n\xff\n", "line 2: cannot read: not UTF-8"),
+    (None, "cannot read: No such file or directory"),
+], ids=["not-utf8", "missing"])
+def test_lm_ppl_names_an_in_file_it_cannot_read(capsys, toy_arpa, tmp_path, body, where):
+    words = tmp_path / "words.txt"
+    if body is not None:
+        words.write_bytes(body)
+    code, _, err = run_cli(capsys, "lm", "ppl", "--arpa", str(toy_arpa), "--in", str(words))
+    assert code == 2
+    assert f"{words}: {where}" in err
+
+
+@pytest.mark.parametrize("bad", ["ref", "hyp"])
+def test_eval_names_the_file_that_is_not_utf8(capsys, tmp_path, bad):
+    files = {name: tmp_path / f"{name}.txt" for name in ("ref", "hyp")}
+    for name, path in files.items():
+        path.write_bytes(b"one two\n" + (b"thr\xeee\n" if name == bad else b"three\n"))
+    code, _, err = run_cli(capsys, "eval", "--ref", str(files["ref"]),
+                           "--hyp", str(files["hyp"]))
+    assert code == 2
+    assert f"{files[bad]}: line 2: cannot read: not UTF-8" in err
+
+
+def test_model_files_that_cannot_be_read_are_named(capsys, tiny_model_dir, tmp_path):
+    model = tmp_path / "model"
+    shutil.copytree(tiny_model_dir, model)
+    wav = write_wav(tmp_path / "clip.wav", tone(0.3))
+    (model / net.BLOB_NAME).unlink()
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(model), "--wav", str(wav))
+    assert code == 2
+    assert f"{model / net.BLOB_NAME}: cannot read: No such file or directory" in err
+    code, _, err = run_cli(capsys, "transcribe", "--model", str(tmp_path / "absent"),
+                           "--wav", str(wav))
+    assert code == 2
+    assert f"{tmp_path / 'absent' / net.MANIFEST_NAME}: cannot read: " in err

@@ -928,3 +928,57 @@ def test_corpus_averages_definition():
     a_cps, a_dur = corpus_averages(items)
     assert a_cps == pytest.approx(1.0)      # over items with duration > 0
     assert a_dur == pytest.approx(2.0)      # over the full input
+
+
+def test_split_gives_the_largest_remainders_the_leftover_items():
+    # 4.5, 4.5 and 1 items: the one left over goes to the first tied part
+    parts = split_dataset(ten_items(), [0.45, 0.45, 0.1], seed=0)
+    assert [len(p) for p in parts.values()] == [5, 4, 1]
+
+
+@pytest.mark.parametrize("fractions", [
+    [1.5, -0.5, 0.0], [math.nan, 0.0, 0.0], [math.inf, -math.inf, 1.0], [-0.0, 1.0, -1e-300],
+])
+@pytest.mark.parametrize("by_key", [None, "speaker"])
+def test_split_refuses_fractions_that_are_not_finite_and_non_negative(fractions, by_key):
+    items = [item(1.0, filepath=f"{i}.wav", speaker=f"s{i}") for i in range(10)]
+    with pytest.raises(ValueError, match="fractions must be finite and >= 0"):
+        split_dataset(items, fractions, by_key=by_key)
+
+
+_CV_ROWS = [b"path\tsentence\tduration\tclient_id", b"a.wav\thallo welt\t1.5\tspk1",
+            b"b.wav\tdu\t2.0\t"]
+_MANIFEST_ROWS = [b"duration\tfilepath\ttext\tspeaker", b"1.5\ta.wav\thallo welt\tspk1",
+                  b"2.0\tb.wav\tdu\t"]
+_WANT = [DatasetItem("a.wav", "hallo welt", 1.5, "spk1"), DatasetItem("b.wav", "du", 2.0)]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_tsv_readers_take_any_newline(tmp_path, newline):
+    cv = tmp_path / "validated.tsv"
+    cv.write_bytes(newline.join(_CV_ROWS + [b""]))
+    assert read_dataset("commonvoice-tsv", cv) == _WANT
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(newline.join(_MANIFEST_ROWS[:2] + [b""] + _MANIFEST_ROWS[2:]))
+    assert read_manifest(manifest) == _WANT
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("rows", [_CV_ROWS, _MANIFEST_ROWS], ids=["commonvoice", "manifest"])
+def test_tsv_readers_name_the_line_that_is_not_utf8(tmp_path, newline, rows):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(newline.join(rows[:2] + [rows[2].replace(b"du", b"d\xfc")]))
+    read = (lambda p: read_dataset("commonvoice-tsv", p)) if rows is _CV_ROWS else read_manifest
+    with pytest.raises(DatasetError, match=r"rows\.tsv: line 3: cannot read: not UTF-8: "):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("fmt", ["commonvoice-tsv", "manifest-csv"])
+def test_tsv_readers_name_a_file_they_cannot_read(tmp_path, kind, fmt):
+    # the readers themselves: read_dataset refuses a missing path first
+    path = tmp_path / "rows.tsv"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DatasetError, match=r"rows\.tsv: cannot read: "):
+        corpus._READERS[fmt](path)

@@ -2,8 +2,8 @@
 numpy, every import in a package module is used, every module-level
 private name is read somewhere in the package, every public function,
 class and method is read outside the unit tests, and every name the
-benchmark's traced mode patches exists, and the README names every
-dataset format.
+benchmark's traced mode patches exists, the README names every
+dataset format, and no module but ``errors.py`` reads a file itself.
 
 No linter ships with the toolchain, so this check stands in for one.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -198,3 +198,57 @@ def test_readme_lists_every_dataset_format():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (listed,) = re.findall(r"# convert a dataset \(([^)]*) input\)", readme)
     assert sorted(re.split(r", | or ", listed)) == sorted(corpus._READERS)
+
+
+def file_reads(source: str) -> list[int]:
+    """Lines of the calls in ``source`` that read a file: ``open`` and any
+    ``.open`` whose mode is missing or has none of w, a and x, and
+    ``.read_text``, ``.read_bytes`` and ``json.load``. The mode of a
+    module's ``open`` (``open``, ``wave.open``) is its second argument,
+    that of an object's (``Path.open``) its first."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            of_object = isinstance(func, ast.Attribute) and not (
+                isinstance(func.value, ast.Name) and func.value.id in modules)
+            args = node.args[0 if of_object else 1:]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else None)
+            writes = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                      and set(mode.value) & set("wax"))
+            if not writes:
+                lines.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and (
+                name in ("read_text", "read_bytes")
+                or (name == "load" and isinstance(func.value, ast.Name)
+                    and func.value.id == "json")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_only_the_file_reads():
+    source = ("import json, wave\nfrom pathlib import Path\n"
+              "open(p)\nopen(p, 'rb')\nopen(p, mode='r')\nopen(p, 'w')\n"
+              "open(p, mode='ab', encoding='utf-8')\nopen(p, m)\n"
+              "wave.open(p)\nwave.open(p, 'rb')\nwave.open(str(p), 'wb')\n"
+              "Path(p).open()\nPath(p).open('x')\np.open(encoding='utf-8')\n"
+              "Path(p).read_text(encoding='utf-8')\np.read_bytes()\njson.load(fh)\n"
+              "json.loads(s)\nread_text(p, E)\np.write_text(s)\njson.dump(x, fh)\n")
+    assert file_reads(source) == [3, 4, 5, 8, 9, 10, 12, 14, 15, 16, 17]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_errors_reads_files(path):
+    # every reader goes through errors.opened, read_text or read_json, so
+    # a file that cannot be read is named in one form, written once
+    source = path.read_text(encoding="utf-8")
+    assert file_reads(source) == []
+    assert "cannot read" not in source

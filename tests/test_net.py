@@ -1178,3 +1178,79 @@ def test_read_tensor_blob_fuzz(fuzz_base, tmp_path_factory, data):
     except ScriboError:
         allowed = (2,)
     assert run_quietly("transcribe", "--model", str(d), "--wav", str(wav))[0] in allowed
+
+
+# ------------------------------------------------ groups without a residual
+
+def plain_config():
+    """small_config with no residual projection in its block group."""
+    cfg = small_config()
+    return dataclasses.replace(cfg, blocks=tuple(dataclasses.replace(g, residual=False)
+                                                 for g in cfg.blocks))
+
+
+def test_group_without_residual_is_bitwise_the_reference(monkeypatch):
+    cfg = plain_config()
+    weights = net.random_weights(cfg, seed=5)
+    assert not any(name.endswith(".res.pw") for name in weights.tensors)
+    blocks = [s for s in net._Stream(cfg, weights).stages if isinstance(s, net._Block)]
+    assert blocks and all(b.res is None for b in blocks)
+    feat_cfg = FeatureConfig(mel_bins=8)
+    clip = AudioClip(tone(6.0, freq=523.0, amp=0.4))
+    clip_feats = normalize_features(logmel(clip, feat_cfg))
+    for folded in (weights, net.fold_batchnorm(cfg, weights)):
+        want = reference_forward(cfg, folded, clip_feats)
+        for parts in (1, 2):
+            with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+                split_rows(monkeypatch, parts, pool)
+                for t in (1, 7, 301, 601):
+                    feats = rand_features(np.random.default_rng(t), t)
+                    assert np.array_equal(net.forward(cfg, folded, feats),
+                                          reference_forward(cfg, folded, feats)), (t, parts)
+                one = net.forward_streaming(cfg, folded, clip, clip.duration + 1.0,
+                                            feat_cfg=feat_cfg)
+                assert np.array_equal(one, want), parts
+                out = net.forward_streaming(cfg, folded, clip, 1.3, feat_cfg=feat_cfg)
+                assert out.shape == want.shape
+                assert float(np.abs(out - want).max()) <= 1e-4, parts
+
+
+# ------------------------------------------------------ the read rule, scale
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 1e308, -0.5])
+def test_adapt_rejects_a_scale_that_is_not_a_float32_magnitude(en_model, scale):
+    cfg, weights = en_model
+    with pytest.raises(ValueError, match="scale must be a finite number from 0"):
+        net.adapt_alphabet(cfg, weights, ALPHABETS["en"], ALPHABETS["es"], init="uniform",
+                           scale=scale)
+
+
+def test_adapt_takes_the_largest_scale(en_model):
+    cfg, weights = en_model
+    _, adapted = net.adapt_alphabet(cfg, weights, ALPHABETS["en"], ALPHABETS["es"],
+                                    init="uniform", scale=net.MAX_INIT_SCALE)
+    assert all(np.isfinite(t).all() for t in adapted.tensors.values())
+
+
+def test_save_rejects_features_the_net_cannot_take(tmp_path):
+    cfg = small_config()  # input_features=8
+    with pytest.raises(ValueError, match="mel_bins"):
+        net.save_weights(tmp_path, cfg, net.random_weights(cfg, seed=1),
+                         FeatureConfig(mel_bins=40), AlphabetSpec(tuple("abcd ")))
+    assert not list(tmp_path.iterdir())
+
+
+def test_load_rejects_features_the_net_cannot_take(tiny_model_dir, tmp_path):
+    manifest = json.loads((tiny_model_dir / net.MANIFEST_NAME).read_text())
+    manifest["features"]["mel_bins"] = 40
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / net.MANIFEST_NAME).write_text(json.dumps(manifest))
+    (model / net.BLOB_NAME).write_bytes((tiny_model_dir / net.BLOB_NAME).read_bytes())
+    with pytest.raises(WeightError, match="mel_bins"):
+        net.load_weights(model)
+    # refused before the WAV is read: this one does not exist
+    code, err = run_quietly("transcribe", "--model", str(model),
+                            "--wav", str(tmp_path / "absent.wav"))
+    assert code == 2
+    assert "mel_bins" in err
