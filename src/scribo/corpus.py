@@ -328,6 +328,8 @@ def _read_commonvoice(tsv_path: Path) -> list[DatasetItem]:
 
 
 def _read_folder_txt(folder: Path) -> list[DatasetItem]:
+    if not folder.is_dir():
+        raise DatasetError(f"{folder}: not a directory")
     items, skipped = [], 0
     for audio in sorted(folder.glob("*.wav")):
         transcript = audio.with_suffix(".txt")
@@ -391,8 +393,6 @@ def read_dataset(format_tag: str, path) -> list[DatasetItem]:
     path = Path(path)
     if format_tag not in _READERS:
         raise DatasetError(f"unknown dataset format {format_tag!r}; know {READ_FORMATS}")
-    if not path.exists():
-        raise DatasetError(f"{path}: no such file or directory")
     return _READERS[format_tag](path)
 
 

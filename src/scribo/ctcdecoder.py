@@ -20,10 +20,6 @@ from .textnorm import AlphabetSpec
 
 LOG10 = math.log(10.0)
 _NEG_INF = float("-inf")
-# Entries at which a beam search clears its memo of LM word scores, so
-# the memo stays bounded on long clips (about 58 new words a frame at
-# width 256 on the benchmark's clips).
-_MEMO_LIMIT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -127,19 +123,6 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
     n_sym = alphabet.size
     symbols = alphabet.symbols
     context_len = lm.order - 1 if lm is not None else 0
-    memo: dict[tuple[tuple[str, ...], str], float] = {}
-
-    def score(context: tuple[str, ...], word: str) -> float:
-        """log10 p(word | context), or 0.0 without an active LM."""
-        if lm is None:
-            return 0.0
-        key = (context, word)
-        val = memo.get(key)
-        if val is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            val = memo[key] = lm.score_word(list(context), word)
-        return val
 
     # The live beams as parallel arrays: the prefix as a string of label
     # code points, the prefix it extends (None for the empty one) and its
@@ -229,8 +212,9 @@ def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hy
             prefix[i] += chr(s)
             if s != space_id:
                 pending[i] += symbols[s]
-                sp_lm[i] = lm_sum[i] + score(context[i], pending[i])
                 sp_words[i] = words[i] + 1
+                if lm is not None:
+                    sp_lm[i] = lm_sum[i] + lm.score_word(context[i], pending[i])
             elif pending[i]:
                 lm_sum[i], words[i] = sp_lm[i], sp_words[i]
                 context[i] = (context[i] + (pending[i],))[-context_len:] if context_len else ()

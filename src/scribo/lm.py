@@ -13,6 +13,7 @@ import logging
 import math
 import re
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ArpaError, read_text
@@ -44,7 +45,8 @@ class NgramModel:
 
     ``tables[k]`` maps a k-tuple of token ids to ``(log10_prob,
     backoff_log10)``; entries of the highest order carry a backoff of
-    0.0. Do not mutate after construction.
+    0.0. The model keeps the table dicts it is given, not copies: do not
+    mutate them after construction.
     """
 
     def __init__(self, order: int, tables: list[dict], id_to_token: list[str]):
@@ -53,9 +55,8 @@ class NgramModel:
         if len(tables) != order:
             raise ValueError("need one table per order")
         self.order = order
-        self.tables: dict[int, dict[tuple[int, ...], tuple[float, float]]] = {
-            k + 1: dict(t) for k, t in enumerate(tables)
-        }
+        self.tables: dict[int, dict[tuple[int, ...], tuple[float, float]]] = dict(
+            enumerate(tables, 1))
         self.id_to_token = list(id_to_token)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.unk_id = self.token_to_id.get(UNK)
@@ -91,13 +92,13 @@ class NgramModel:
                 acc += stored[1]
             history = history[1:]
 
-    def score_word(self, history: list[str], word: str) -> float:
+    def score_word(self, history: Sequence[str], word: str) -> float:
         """Katz-backoff log10 p(word | history).
 
-        The history is truncated to the last order-1 tokens. OOV words
-        route to <unk> when the model has one, else to the floor
-        DEFAULT_OOV_LOG10; an OOV history token with no <unk> cuts the
-        context.
+        The history, any sequence of tokens, is truncated to the last
+        order-1 tokens. OOV words route to <unk> when the model has one,
+        else to the floor DEFAULT_OOV_LOG10; an OOV history token with
+        no <unk> cuts the context.
         """
         wid = self.token_to_id.get(word, self.unk_id)
         if wid is None:
@@ -165,12 +166,20 @@ def _parse_entry(line: str, k: int, highest: bool, lineno: int):
 def parse_arpa(path) -> NgramModel:
     """Parse a text ARPA file into an NgramModel.
 
-    Enforces the header counts and section structure; ARPA prefix
-    consistency (every k-gram's prefix present as a (k-1)-gram) is
-    checked and violations are logged, not fatal.
+    Enforces the header counts and section structure, naming the file in
+    every ArpaError; ARPA prefix consistency (every k-gram's prefix present
+    as a (k-1)-gram) is checked and violations are logged, not fatal.
     """
     lines = read_text(path, ArpaError).splitlines()
+    try:
+        model = _parse_arpa_lines(lines)
+    except ArpaError as exc:
+        raise ArpaError(f"{path}: {exc}") from exc
+    _check_prefix_consistency(model)
+    return model
 
+
+def _parse_arpa_lines(lines: list[str]) -> NgramModel:
     it = iter(enumerate(lines, 1))
     for _, line in it:
         if line.strip() == "\\data\\":
@@ -232,9 +241,7 @@ def parse_arpa(path) -> NgramModel:
             )
 
     # interned ids count up from 0 in insertion order
-    model = NgramModel(order, raw_tables, list(interner))
-    _check_prefix_consistency(model)
-    return model
+    return NgramModel(order, raw_tables, list(interner))
 
 
 def _check_prefix_consistency(model: NgramModel) -> None:

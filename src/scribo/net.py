@@ -781,19 +781,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _manifest_path(path) -> Path:
+    """The manifest of a model given as its directory or its manifest."""
+    path = Path(path)
+    return path if path.name == MANIFEST_NAME else path / MANIFEST_NAME
+
+
 def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a manifest.json + weights.bin directory (or manifest path).
 
     The blob is read and checksummed in one pass; the tensors are
     read-only views into it, built only once the checksum matches.
     """
-    path = Path(path)
-    directory = path.parent if path.name == MANIFEST_NAME else path
-    manifest_path = directory / MANIFEST_NAME
+    manifest_path = _manifest_path(path)
     manifest = read_json(manifest_path, WeightError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
         raise WeightError(f"{manifest_path}: manifest must be an object with a tensor list")
-    blob_path = directory / BLOB_NAME
+    blob_path = manifest_path.with_name(BLOB_NAME)
     checksum = manifest.get("checksum")
     if not isinstance(checksum, str) or not checksum.startswith("sha256:"):
         raise WeightError(f"{manifest_path}: missing or malformed checksum")
@@ -811,24 +815,24 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         if not isinstance(name, str):
             raise WeightError(f"{manifest_path}: malformed tensor entry {i}: "
                               "name must be a string")
+        where = f"{manifest_path}: tensor {name!r}"
         if not (isinstance(shape, list) and all(map(_is_int, shape))
                 and _is_int(offset) and _is_int(length)):
-            raise WeightError(f"tensor {name!r}: shape, offset and length must be "
-                              "JSON integers")
+            raise WeightError(f"{where}: shape, offset and length must be JSON integers")
         if name in tensors:
-            raise WeightError(f"tensor {name!r}: listed twice")
+            raise WeightError(f"{where}: listed twice")
         if entry.get("dtype") != "f32":
-            raise WeightError(f"tensor {name!r}: unsupported dtype {entry.get('dtype')!r}")
+            raise WeightError(f"{where}: unsupported dtype {entry.get('dtype')!r}")
         count = math.prod(shape)  # exact: an int64 product could wrap
         if (min(shape, default=0) < 0 or offset < 0 or length != 4 * count
                 or offset + length > len(blob)):
-            raise WeightError(f"tensor {name!r}: offset/length outside blob")
+            raise WeightError(f"{where}: offset/length outside blob")
         if offset % 4:
-            raise WeightError(f"tensor {name!r}: offset {offset} is not a multiple of 4")
+            raise WeightError(f"{where}: offset {offset} is not a multiple of 4")
         try:
             tensors[name] = blob[offset:offset + length].view("<f4").reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
-            raise WeightError(f"tensor {name!r}: {exc}") from exc
+            raise WeightError(f"{where}: {exc}") from exc
     return tensors, manifest
 
 
@@ -863,23 +867,27 @@ def load_weights(path) -> LoadedModel:
 
     Each section holds its dataclass's keyword arguments: an unknown key,
     a value of the wrong type or a missing field without a default raises
-    WeightError; a missing field with a default takes it.
+    WeightError; a missing field with a default takes it. Every
+    WeightError names the manifest.
     """
     tensors, manifest = read_tensor_blob(path)
-    for key in ("net", "features", "alphabet"):
-        if key not in manifest:
-            raise WeightError(f"model manifest lacks the {key!r} section")
+    manifest_path = _manifest_path(path)
     try:
+        for key in ("net", "features", "alphabet"):
+            if key not in manifest:
+                raise WeightError(f"model manifest lacks the {key!r} section")
         cfg = NetConfig.from_dict(manifest["net"])
         feat_cfg = FeatureConfig(**manifest["features"])
         alphabet = AlphabetSpec.from_object(manifest["alphabet"])
+        weights = NetworkWeights(tensors)
+        validate_weights(cfg, weights)
+        if alphabet.size != cfg.vocab_size:
+            raise WeightError("manifest alphabet size disagrees with net vocab_size")
+        if feat_cfg.mel_bins != cfg.input_features:
+            raise WeightError("manifest features mel_bins disagrees with net input_features")
+    except WeightError as exc:
+        raise WeightError(f"{manifest_path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise WeightError(f"{path}: malformed model manifest section: {exc!r}") from exc
-    weights = NetworkWeights(tensors)
-    validate_weights(cfg, weights)
-    if alphabet.size != cfg.vocab_size:
-        raise WeightError("manifest alphabet size disagrees with net vocab_size")
-    if feat_cfg.mel_bins != cfg.input_features:
-        raise WeightError("manifest features mel_bins disagrees with net input_features")
+        raise WeightError(f"{manifest_path}: malformed model manifest section: {exc!r}") from exc
     return LoadedModel(manifest.get("model", "model"), cfg, weights, feat_cfg, alphabet)
 

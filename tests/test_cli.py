@@ -797,6 +797,13 @@ def test_corpus_split_unparsable_fractions(capsys, tmp_path):
     assert code == 1
 
 
+def test_corpus_split_refuses_empty_fractions(capsys):
+    code, _, err = run_cli(capsys, "corpus", "split", "--manifest", "absent.tsv",
+                           "--fractions", ",")
+    assert code == 1
+    assert "fractions must be non-empty" in err
+
+
 def test_corpus_unknown_format(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "corpus", "convert", "--format", "mp3-dir",
                          "--in", str(tmp_path), "--out", str(tmp_path / "o"))

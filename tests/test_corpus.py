@@ -522,6 +522,39 @@ def test_read_folder_txt(tmp_path):
     assert items[0].duration == pytest.approx(1.0)
 
 
+def test_read_folder_txt_skips_a_wav_without_transcript(tmp_path, caplog):
+    write_wav(tmp_path / "a.wav", np.zeros(16000))
+    (tmp_path / "a.txt").write_text("hello")
+    write_wav(tmp_path / "b.wav", np.zeros(16000))
+    with caplog.at_level("WARNING"):
+        items = read_dataset("folder-txt", tmp_path)
+    assert [i.filepath for i in items] == ["a.wav"]
+    assert f"{tmp_path}: 1 wav files have no .txt transcript" in caplog.messages
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+def test_read_folder_txt_refuses_what_is_not_a_directory(tmp_path, kind):
+    path = tmp_path / "meta.tsv"
+    if kind == "file":
+        path.write_text("path\tsentence\n")
+    with pytest.raises(DatasetError) as info:
+        read_dataset("folder-txt", path)
+    assert str(info.value) == f"{path}: not a directory"
+    out = tmp_path / "out"
+    code, err = run_quietly("corpus", "convert", "--format", "folder-txt",
+                            "--in", str(path), "--out", str(out))
+    assert code == 2 and f"{path}: not a directory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["commonvoice-tsv", "manifest-csv"])
+def test_read_dataset_names_a_missing_file(tmp_path, fmt):
+    path = tmp_path / "absent.tsv"
+    with pytest.raises(DatasetError) as info:
+        read_dataset(fmt, path)
+    assert str(info.value) == f"{path}: cannot read: No such file or directory"
+
+
 def test_read_unknown_format(tmp_path):
     with pytest.raises(DatasetError, match="format"):
         read_dataset("mystery", tmp_path)
@@ -858,6 +891,21 @@ def test_split_custom_names():
     assert sorted(parts) == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("fractions,names", [
+    ([1.0], ["all"]),
+    ([0.25] * 4, ["part1", "part2", "part3", "part4"]),
+])
+def test_split_default_names(fractions, names):
+    parts = split_dataset(ten_items(), fractions, seed=0)
+    assert list(parts) == names
+    assert sum(len(p) for p in parts.values()) == 10
+
+
+def test_split_refuses_a_name_count_unlike_the_fractions():
+    with pytest.raises(ValueError, match="need one name per fraction"):
+        split_dataset(ten_items(), [0.5, 0.5], names=["a", "b", "c"])
+
+
 # ------------------------------------------------------------------ writing
 
 def test_write_single_item(tmp_path):
@@ -976,7 +1024,7 @@ def test_tsv_readers_name_the_line_that_is_not_utf8(tmp_path, newline, rows):
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("fmt", ["commonvoice-tsv", "manifest-csv"])
 def test_tsv_readers_name_a_file_they_cannot_read(tmp_path, kind, fmt):
-    # the readers themselves: read_dataset refuses a missing path first
+    # the readers themselves, as read_dataset calls them
     path = tmp_path / "rows.tsv"
     if kind == "directory":
         path.mkdir()

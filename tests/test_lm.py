@@ -1,5 +1,6 @@
 """ARPA parsing, backoff scoring, perplexity, serialization, pruning."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,20 @@ def test_parse_non_numeric_probability(tmp_path):
         parse_arpa(p)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("ngram 1=4\nngram 2=1\n", "", "empty \\data\\ section"),
+    ("\\2-grams:", "\\two-grams:", "line 11: bad section header '\\\\two-grams:'"),
+    ("\\2-grams:", "\\3-grams:", "line 11: section \\3-grams: not in header"),
+    ("-0.8\tcat", "-0.8\tthe", "line 7: duplicate 1-gram 'the'"),
+], ids=["empty-data", "bad-header", "unknown-section", "duplicate"])
+def test_parse_errors_name_the_file_once(tmp_path, old, new, message):
+    p = tmp_path / "bad.arpa"
+    p.write_text(WORDS_ARPA.replace(old, new))
+    with pytest.raises(ArpaError) as info:
+        parse_arpa(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
 # (entry of WORDS_ARPA, the same entry with {} for the bad value, its line)
 _VALUE_SLOTS = {
     "unigram": ("-1.0\tdog", "{}\tdog", 8),
@@ -108,7 +123,7 @@ def test_parse_rejects_nan_and_positive_infinity(tmp_path, slot, value):
     entry, bad, lineno = _VALUE_SLOTS[slot]
     p = tmp_path / "bad.arpa"
     p.write_text(WORDS_ARPA.replace(entry, bad.format(value)))
-    with pytest.raises(ArpaError, match=f"^line {lineno}: "):
+    with pytest.raises(ArpaError, match=f"^{re.escape(str(p))}: line {lineno}: "):
         parse_arpa(p)
     assert run_quietly("lm", "score", "--arpa", str(p), "--text", "the dog")[0] == 2
     code, err = run_quietly("lm", "ppl", "--arpa", str(p), "--text", "the dog")
@@ -377,6 +392,22 @@ def test_prune_cascade_keeps_prefixes_consistent(tmp_path):
     assert pruned4.total_ngrams == 3
     assert len(pruned4.tables[2]) == 0
     assert len(pruned4.tables[3]) == 0
+
+
+def test_prune_passes_over_what_a_cascade_dropped():
+    # (a,b) goes first and takes (a,b,c) with it; (a,b,c) then comes up
+    # as a candidate of its own and is passed over, not dropped twice
+    uni = {(0,): (-0.4, -0.1), (1,): (-0.6, -0.2), (2,): (-0.9, 0.0)}
+    bi = {(0, 1): (-3.0, -0.05), (1, 2): (-0.05, 0.0)}
+    tri = {(0, 1, 2): (-0.1, 0.0)}
+    pruned = prune_model(NgramModel(3, [uni, bi, tri], ["a", "b", "c"]), 3)
+    assert pruned.tables == {1: uni, 2: {}, 3: {}}
+
+
+def test_model_holds_the_tables_it_is_given(words_model):
+    tables = [dict(words_model.tables[k]) for k in (1, 2)]
+    model = NgramModel(2, tables, words_model.id_to_token)
+    assert all(model.tables[k] is tables[k - 1] for k in (1, 2))
 
 
 def test_prune_exhaustive_consistency(tmp_path):

@@ -954,6 +954,75 @@ def test_read_refuses_a_tensor_listed_twice(tmp_path):
         net.read_tensor_blob(tmp_path)
 
 
+def _rewrite_manifest(directory, edit):
+    path = directory / net.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("checksum", [None, 5, "md5:00"])
+def test_read_refuses_a_malformed_checksum(tmp_path, checksum):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+    path = _rewrite_manifest(tmp_path, lambda m: m.update(checksum=checksum))
+    with pytest.raises(WeightError) as info:
+        net.read_tensor_blob(tmp_path)
+    assert str(info.value) == f"{path}: missing or malformed checksum"
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"dtype": "f64"}, "unsupported dtype 'f64'"),
+    ({"shape": [2.0]}, "shape, offset and length must be JSON integers"),
+    ({"length": 12}, "offset/length outside blob"),
+    ({"shape": [1], "offset": 2, "length": 4}, "offset 2 is not a multiple of 4"),
+    ({"shape": [1] * 100, "length": 4}, ""),
+    (None, "listed twice"),
+], ids=["dtype", "shape", "length", "offset", "dimensions", "twice"])
+def test_read_entry_errors_name_the_manifest(tmp_path, entry, message):
+    net.write_tensor_blob(tmp_path, {"x": np.zeros(2, dtype=np.float32)})
+
+    def edit(manifest):
+        tensors = manifest["tensors"]
+        if entry is None:
+            tensors.append(dict(tensors[0]))
+        else:
+            tensors[0].update(entry)
+
+    path = _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(WeightError) as info:
+        net.read_tensor_blob(tmp_path)
+    assert str(info.value).startswith(f"{path}: tensor 'x': {message}")
+
+
+def test_validate_rejects_non_positive_variance(small_cfg):
+    tensors = dict(net.random_weights(small_cfg, seed=0).tensors)
+    tensors["c1.bn.var"] = tensors["c1.bn.var"].copy()
+    tensors["c1.bn.var"][0] = 0.0
+    with pytest.raises(WeightError, match="^c1.bn.var must be strictly positive$"):
+        net.validate_weights(small_cfg, net.NetworkWeights(tensors))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m.pop("net"), "model manifest lacks the 'net' section"),
+    (lambda m: m.update(alphabet=dataclasses.asdict(ALPHABETS["es"])),
+     "manifest alphabet size disagrees with net vocab_size"),
+    (lambda m: m["features"].update(mel_bins=9),
+     "manifest features mel_bins disagrees with net input_features"),
+    (lambda m: m["net"].update(vocab_size="x"), "malformed model manifest section: "),
+    (lambda m: m["tensors"].pop(), "missing tensor "),
+], ids=["section", "alphabet", "mel-bins", "malformed", "validate"])
+def test_load_errors_name_the_manifest(tmp_path, edit, message):
+    cfg = small_config(vocab_size=28)
+    net.save_weights(tmp_path, cfg, net.random_weights(cfg, seed=1),
+                     FeatureConfig(mel_bins=8), ALPHABETS["en"])
+    path = _rewrite_manifest(tmp_path, edit)
+    for where in (tmp_path, path):
+        with pytest.raises(WeightError) as info:
+            net.load_weights(where)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+
 @pytest.mark.parametrize("name", [net.MANIFEST_NAME, net.BLOB_NAME])
 def test_load_names_a_file_it_cannot_read(tiny_model_dir, tmp_path, name):
     for other in (net.MANIFEST_NAME, net.BLOB_NAME):

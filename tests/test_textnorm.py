@@ -115,6 +115,21 @@ def test_load_rules_unknown_key(tmp_path):
         load_rules(f)
 
 
+@pytest.mark.parametrize("content,message", [
+    ([], "rule file must be a JSON object"),
+    ({"units": ["kg"]}, "units must map"),
+    ({"units": {"kg": 1}}, "units must map"),
+    ({"units": {"": "gramm"}}, "units must map"),
+    ({"number_language": 7}, "number_language must be a string"),
+    ({"lowercase": "yes"}, "lowercase must be a boolean"),
+])
+def test_load_rules_names_the_mistyped_field(tmp_path, content, message):
+    f = tmp_path / "r.json"
+    f.write_text(json.dumps(content))
+    with pytest.raises(RuleFileError, match=f"^{re.escape(str(f))}: {message}"):
+        load_rules(f)
+
+
 @pytest.mark.parametrize("text", [
     '{"replacements": 5}',
     '{"replacements": null}',
