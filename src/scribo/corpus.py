@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, DatasetError, read_text
-from .features import SAMPLE_RATE, _open_wav, _read_samples
+from .features import _ENCODINGS, SAMPLE_RATE, _open_wav, _read_samples
 
 log = logging.getLogger(__name__)
 
@@ -85,25 +85,15 @@ class CleaningReport:
 # Audio
 
 
-#: Integer PCM as (offset, full scale) by dtype (kind, itemsize), so byte
-#: order does not matter: a sample x maps to (x - offset) / full scale in
-#: [-1, 1). The WAV reader returns 24-bit samples left-justified in 4 bytes.
-_PCM_SCALE = {
-    ("i", 2): (0, 32768.0),
-    ("i", 4): (0, 2147483648.0),
-    ("i", 8): (0, 9223372036854775808.0),
-    ("u", 1): (128, 128.0),
-}
-
-
 def probe_duration(path) -> float:
     """Duration in seconds from the WAV header, without decoding."""
     with _open_wav(path) as (_, fmt):
         return fmt.frames / fmt.rate
 
 
-def _downmix(data: np.ndarray) -> np.ndarray:
-    """Average the channel columns of ``data`` into float64 in [-1, 1].
+def _downmix(data: np.ndarray, fmt) -> np.ndarray:
+    """Average the channel columns of ``data``, the samples of a WAV file
+    in ``fmt``, into float64 in [-1, 1] (see features._ENCODINGS).
 
     Integer PCM of up to 32 bits is summed column by column as float64
     and scaled once. Every partial sum is an integer below 2**47 (at most
@@ -116,13 +106,12 @@ def _downmix(data: np.ndarray) -> np.ndarray:
     channels its pairwise order differs from a column loop. Mono is one
     column.
     """
-    scale = _PCM_SCALE.get((data.dtype.kind, data.dtype.itemsize))
-    if scale is None or data.dtype.itemsize > 4:
+    _, offset, full = _ENCODINGS[fmt.tag, fmt.bits]
+    if data.dtype.kind == "f" or data.dtype.itemsize > 4:
         out = data.astype(np.float64)
-        if scale is not None:  # 64-bit PCM, offset 0
-            out /= scale[1]
+        if full != 1.0:  # 64-bit PCM, offset 0
+            out /= full
         return out.mean(axis=1)
-    offset, full = scale
     channels = data.shape[1]
     mono = data[:, 0].astype(np.float64)
     for c in range(1, channels):
@@ -246,7 +235,7 @@ def convert_audio(src_path, dst_path) -> float:
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise AudioFormatError(f"{src_path}: float samples include NaN or infinity")
 
-    mono = _downmix(data)
+    mono = _downmix(data, fmt)
     # free the raw samples before resampling: kept to the end, they raise
     # each conversion's peak heap by their size, and the allocator then
     # trims and re-grows the heap on every long file

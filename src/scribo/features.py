@@ -107,12 +107,15 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 #: holds the format tag; the next two fields follow the file's byte order.
 _SUBTYPE_TAIL = bytes.fromhex("800000aa00389b71")
 
-#: (format tag, bits per sample) -> dtype code of the samples _read_samples
-#: returns. 24-bit samples come left-justified in 4 bytes, so integer PCM
-#: is always a full-scale ``u1``/``i2``/``i4``/``i8``.
-_SAMPLE_DTYPES = {
-    (_PCM, 8): "u1", (_PCM, 16): "i2", (_PCM, 24): "i4", (_PCM, 32): "i4",
-    (_PCM, 64): "i8", (_IEEE_FLOAT, 32): "f4", (_IEEE_FLOAT, 64): "f8",
+#: (format tag, bits per sample) -> (dtype code of the samples
+#: _read_samples returns, offset, full scale): a sample x maps to
+#: (x - offset) / full scale in [-1, 1). 24-bit samples come left-justified
+#: in 4 bytes, so they read as 32-bit PCM; float samples need no scaling.
+_ENCODINGS = {
+    (_PCM, 8): ("u1", 128, 128.0), (_PCM, 16): ("i2", 0, 2.0**15),
+    (_PCM, 24): ("i4", 0, 2.0**31), (_PCM, 32): ("i4", 0, 2.0**31),
+    (_PCM, 64): ("i8", 0, 2.0**63),
+    (_IEEE_FLOAT, 32): ("f4", 0, 1.0), (_IEEE_FLOAT, 64): ("f8", 0, 1.0),
 }
 
 
@@ -122,7 +125,7 @@ def _parse_fmt(body: bytes, order: str, path) -> _WavFormat:
     tag, channels, rate, _, align, bits = struct.unpack(order + "HHIIHH", body[:16])
     if tag == _EXTENSIBLE and body[28:40] == struct.pack(order + "HH", 0, 16) + _SUBTYPE_TAIL:
         (tag,) = struct.unpack(order + "I", body[24:28])
-    if (tag, bits) not in _SAMPLE_DTYPES or channels < 1 or align != channels * bits // 8:
+    if (tag, bits) not in _ENCODINGS or channels < 1 or align != channels * bits // 8:
         raise AudioFormatError(
             f"{path}: unsupported WAV encoding (format {tag:#x}, {bits}-bit, "
             f"{channels} channels, {align}-byte frames)"
@@ -182,9 +185,9 @@ def _open_wav(path):
 
 def _read_samples(fh, fmt: _WavFormat) -> np.ndarray:
     """The (frames, channels) samples of the WAV file ``fh`` that
-    _open_wav opened, in the file's byte order (see _SAMPLE_DTYPES)."""
+    _open_wav opened, in the file's byte order (see _ENCODINGS)."""
     payload = fh.read(fmt.frames * fmt.channels * fmt.bits // 8)
-    dtype = fmt.order + _SAMPLE_DTYPES[fmt.tag, fmt.bits]
+    dtype = fmt.order + _ENCODINGS[fmt.tag, fmt.bits][0]
     if fmt.bits == 24:
         # each 3-byte sample goes to the high bytes of an int32, zero below
         wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)

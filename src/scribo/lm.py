@@ -41,7 +41,7 @@ class LmScore:
 
 
 class NgramModel:
-    """Backoff n-gram model with interned vocabulary.
+    """Backoff n-gram model whose vocabulary is its unigrams' tokens.
 
     ``tables[k]`` maps a k-tuple of token ids to ``(log10_prob,
     backoff_log10)``; entries of the highest order carry a backoff of
@@ -58,7 +58,7 @@ class NgramModel:
         self.tables: dict[int, dict[tuple[int, ...], tuple[float, float]]] = dict(
             enumerate(tables, 1))
         self.id_to_token = list(id_to_token)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {self.id_to_token[i]: i for (i,) in self.tables[1]}
         self.unk_id = self.token_to_id.get(UNK)
 
     # -- introspection ------------------------------------------------
@@ -80,13 +80,12 @@ class NgramModel:
     def _score_ids(self, history: tuple[int, ...], wid: int) -> float:
         # Katz: longest stored match wins; each level of shortening adds
         # the history's backoff weight, 0 when the history is unstored.
+        # ``wid`` has a unigram, so the loop ends by the empty history.
         acc = 0.0
         while True:
             entry = self.tables[len(history) + 1].get(history + (wid,))
             if entry is not None:
                 return acc + entry[0]
-            if not history:
-                return acc + DEFAULT_OOV_LOG10
             stored = self.tables[len(history)].get(history)
             if stored is not None:
                 acc += stored[1]
@@ -96,9 +95,9 @@ class NgramModel:
         """Katz-backoff log10 p(word | history).
 
         The history, any sequence of tokens, is truncated to the last
-        order-1 tokens. OOV words route to <unk> when the model has one,
-        else to the floor DEFAULT_OOV_LOG10; an OOV history token with
-        no <unk> cuts the context.
+        order-1 tokens. OOV tokens, those with no unigram, route to <unk>
+        when the model has one; else an OOV word scores DEFAULT_OOV_LOG10
+        and an OOV history token cuts the context.
         """
         wid = self.token_to_id.get(word, self.unk_id)
         if wid is None:
@@ -158,8 +157,6 @@ def _parse_entry(line: str, k: int, highest: bool, lineno: int):
     # NaN fails both comparisons; -inf stays, a zero probability or backoff
     if not (prob < math.inf and backoff < math.inf):
         raise ArpaError(f"line {lineno}: log10 value must be finite or -inf")
-    if prob > 0.0:
-        log.warning("line %d: positive log-probability %g kept as-is", lineno, prob)
     return prob, tuple(tokens), backoff
 
 
@@ -167,19 +164,19 @@ def parse_arpa(path) -> NgramModel:
     """Parse a text ARPA file into an NgramModel.
 
     Enforces the header counts and section structure, naming the file in
-    every ArpaError; ARPA prefix consistency (every k-gram's prefix present
-    as a (k-1)-gram) is checked and violations are logged, not fatal.
+    every ArpaError and warning; positive log-probabilities, and n-grams
+    with no stored prefix or a word with no unigram, are logged, not fatal.
     """
     lines = read_text(path, ArpaError).splitlines()
     try:
-        model = _parse_arpa_lines(lines)
+        model = _parse_arpa_lines(lines, path)
     except ArpaError as exc:
         raise ArpaError(f"{path}: {exc}") from exc
-    _check_prefix_consistency(model)
+    _check_prefix_consistency(model, path)
     return model
 
 
-def _parse_arpa_lines(lines: list[str]) -> NgramModel:
+def _parse_arpa_lines(lines: list[str], path) -> NgramModel:
     it = iter(enumerate(lines, 1))
     for _, line in it:
         if line.strip() == "\\data\\":
@@ -227,6 +224,8 @@ def _parse_arpa_lines(lines: list[str]) -> NgramModel:
         if current_k == 0:
             raise ArpaError(f"line {lineno}: entry before any n-gram section")
         prob, tokens, backoff = _parse_entry(line, current_k, current_k == order, lineno)
+        if prob > 0.0:
+            log.warning("%s: line %d: positive log-probability %g kept as-is", path, lineno, prob)
         key = tuple(interner.setdefault(t, len(interner)) for t in tokens)
         if key in raw_tables[current_k - 1]:
             raise ArpaError(f"line {lineno}: duplicate {current_k}-gram {' '.join(tokens)!r}")
@@ -244,16 +243,17 @@ def _parse_arpa_lines(lines: list[str]) -> NgramModel:
     return NgramModel(order, raw_tables, list(interner))
 
 
-def _check_prefix_consistency(model: NgramModel) -> None:
-    """Log how many n-grams break ARPA prefix consistency."""
+def _check_prefix_consistency(model: NgramModel, path) -> None:
+    """Log how many n-grams have no stored prefix or a word with no unigram."""
+    words = set(model.token_to_id.values())
     bad = 0
     for k in range(2, model.order + 1):
         lower = model.tables[k - 1]
         for key in model.tables[k]:
-            if key[:-1] not in lower:
+            if key[:-1] not in lower or not words.issuperset(key):
                 bad += 1
     if bad:
-        log.warning("%d n-grams have no stored prefix (inconsistent ARPA input)", bad)
+        log.warning("%s: %d n-grams have no stored prefix or a word with no unigram", path, bad)
 
 
 def serialize_arpa(model: NgramModel, path) -> None:

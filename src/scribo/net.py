@@ -564,13 +564,18 @@ def forward(cfg: NetConfig, weights: NetworkWeights, features: np.ndarray,
     stage's rows may be split across threads (see ``row_parts``); the
     result is bitwise the same whatever the part count.
     """
+    x = _Stream(cfg, weights).push(_input_rows(cfg, features), last=True)
+    return log_softmax(x) if log_probs else x
+
+
+def _input_rows(cfg: NetConfig, features) -> np.ndarray:
+    """``features`` as float32, refused unless (T, input_features)."""
     x = np.asarray(features, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != cfg.input_features:
         raise ValueError(
             f"features shape {x.shape} does not match input_features={cfg.input_features}"
         )
-    x = _Stream(cfg, weights).push(x, last=True)
-    return log_softmax(x) if log_probs else x
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +631,7 @@ def receptive_field_seconds(cfg: NetConfig, feat_cfg: FeatureConfig) -> float:
 
 
 def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
-                      chunk_seconds: float, feat_cfg: FeatureConfig | None = None) -> np.ndarray:
+                      chunk_seconds: float, feat_cfg: FeatureConfig) -> np.ndarray:
     """Chunked forward pass: the feature rows are pushed one chunk at a time.
 
     Features are extracted and normalized once for the whole clip. Each
@@ -639,7 +644,6 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
     As in ``forward``, the result is bitwise the same whatever the part
     count.
     """
-    feat_cfg = feat_cfg or FeatureConfig()
     step = 0
     if math.isfinite(chunk_seconds) and chunk_seconds > 0:
         # a finite chunk too long to count in float samples is one push
@@ -651,7 +655,7 @@ def forward_streaming(cfg: NetConfig, weights: NetworkWeights, clip: AudioClip,
             f"({feat_cfg.hop_length}s), got {chunk_seconds!r}"
         )
 
-    feats = normalize_features(logmel(clip, feat_cfg))
+    feats = _input_rows(cfg, normalize_features(logmel(clip, feat_cfg)))
     t = feats.shape[0]
     # a clip with no frame still makes the one push that ends the stream
     bounds = [0, *range(step, t, step), t]

@@ -353,13 +353,13 @@ def normalize_text(text: str, rules: NormRules, alphabet: AlphabetSpec) -> str:
     result contains only characters from ``alphabet.symbols``, with
     inner whitespace collapsed to single spaces and no digits left.
     """
+    keep = frozenset(alphabet.symbols)
     if rules.lowercase:
         text = text.lower()
-    text = _expand_units(text, rules.units, frozenset(alphabet.symbols))
+    text = _expand_units(text, rules.units, keep)
     text = _spell_numbers(text, rules.number_language)
     text = transliterate(text, rules.replacements)
 
-    keep = set(alphabet.symbols)
     keep_space = " " in keep
     chars = []
     for ch in text:

@@ -44,6 +44,24 @@ ngram 2=2
     pbc=math.log10(0.5),
 )
 
+# An inconsistent model: "a" has a positive log-probability (line 6), and
+# "c" occurs only in the bigram "c a", with no unigram of its own.
+ODD_ARPA = """\\data\\
+ngram 1=3
+ngram 2=2
+
+\\1-grams:
+0.5\ta
+-1.0\tb
+-1.0\t<unk>
+
+\\2-grams:
+-0.3\ta b
+-0.2\tc a
+
+\\end\\
+"""
+
 
 @pytest.fixture
 def toy_arpa(tmp_path):

@@ -15,7 +15,7 @@ from scribo import cli, corpus, lm as lm_mod, net
 from scribo.cli import MODEL_DIR_ENV, run
 from scribo.textnorm import ALPHABETS
 
-from conftest import mixed_rate_folder, raw_wav, tone, write_twins, write_wav
+from conftest import ODD_ARPA, mixed_rate_folder, raw_wav, tone, write_twins, write_wav
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +272,16 @@ def test_lm_score_human_line(capsys, toy_arpa):
                            "--text", "a", "--no-markers")
     assert code == 0
     assert out.startswith("log10 ")
+
+
+@pytest.mark.parametrize("text", ["c", "zzz"])
+def test_lm_score_counts_a_word_with_no_unigram_as_oov(capsys, tmp_path, text):
+    # "c" occurs only in the bigram "c a"; "</s>" is the second OOV token
+    arpa = tmp_path / "odd.arpa"
+    arpa.write_text(ODD_ARPA)
+    code, out, _ = run_cli(capsys, "lm", "score", "--arpa", str(arpa), "--text", text)
+    assert code == 0
+    assert out == "log10 -2.000000 (2 OOV)\n"
 
 
 def test_lm_ppl(capsys, toy_arpa):

@@ -284,6 +284,8 @@ MALFORMED_WAVS = {
     "no data chunk": raw_wav(data=False),
     "no fmt chunk": raw_wav(bytes(4), fmt=False),
     "9-byte containers": raw_wav(bytes(18), bits=64, align=9),
+    "14-byte fmt chunk": raw_wav(bytes(4), fmt=False,
+                                 chunks=b"fmt " + (14).to_bytes(4, "little") + bytes(14)),
 }
 
 

@@ -155,6 +155,11 @@ def test_fusion_weights_must_be_finite(weights):
         DecodeParams(**weights)
 
 
+def test_alpha_must_not_be_negative():
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        DecodeParams(alpha=-1.0)
+
+
 def test_beam_counts_words_in_combined():
     sp = AlphabetSpec(symbols=" ab")
     rows = []

@@ -108,6 +108,13 @@ def test_config_refuses_bool_for_a_number(name):
         FeatureConfig(**{name: True})
 
 
+@pytest.mark.parametrize("lengths", [{"window_length": 0.0}, {"hop_length": 0.00003}],
+                         ids=repr)
+def test_config_refuses_a_window_or_hop_of_no_samples(lengths):
+    with pytest.raises(ValueError, match="window and hop must be positive"):
+        FeatureConfig(**lengths)
+
+
 def test_config_dict_round_trip():
     cfg = FeatureConfig(mel_bins=20, fmax=7000.0)
     assert FeatureConfig(**dataclasses.asdict(cfg)) == cfg

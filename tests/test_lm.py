@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scribo.errors import ArpaError, ScriboError
-from scribo.lm import NgramModel, parse_arpa, prune_model, serialize_arpa
+from scribo.lm import DEFAULT_OOV_LOG10, NgramModel, parse_arpa, prune_model, serialize_arpa
 
-from conftest import TOY_ARPA, fuzzed, run_quietly
+from conftest import ODD_ARPA, TOY_ARPA, fuzzed, run_quietly
 
 # toy model probabilities, hand-derived (see conftest for the mass layout)
 P_A = math.log10(0.4)
@@ -99,7 +99,10 @@ def test_parse_non_numeric_probability(tmp_path):
     ("\\2-grams:", "\\two-grams:", "line 11: bad section header '\\\\two-grams:'"),
     ("\\2-grams:", "\\3-grams:", "line 11: section \\3-grams: not in header"),
     ("-0.8\tcat", "-0.8\tthe", "line 7: duplicate 1-gram 'the'"),
-], ids=["empty-data", "bad-header", "unknown-section", "duplicate"])
+    ("-1.0\tdog", "-1.0\tdog\t-0.1\t-0.2", "line 8: unexpected trailing fields"),
+    ("-0.301\tthe cat", "-0.301\tthe cat\t-0.1", "line 12: unexpected trailing fields"),
+], ids=["empty-data", "bad-header", "unknown-section", "duplicate", "two-backoffs",
+        "highest-order-backoff"])
 def test_parse_errors_name_the_file_once(tmp_path, old, new, message):
     p = tmp_path / "bad.arpa"
     p.write_text(WORDS_ARPA.replace(old, new))
@@ -178,6 +181,76 @@ def test_parse_reports_prefix_violation(tmp_path, caplog):
         model = parse_arpa(p)
     assert model.total_ngrams == 6
     assert any("prefix" in r.message for r in caplog.records)
+
+
+def test_parse_warnings_name_the_file(tmp_path, caplog):
+    p = tmp_path / "odd.arpa"
+    p.write_text(ODD_ARPA)
+    with caplog.at_level("WARNING", logger="scribo.lm"):
+        parse_arpa(p)
+    assert caplog.messages == [
+        f"{p}: line 6: positive log-probability 0.5 kept as-is",
+        f"{p}: 1 n-grams have no stored prefix or a word with no unigram",
+    ]
+
+
+def test_parse_counts_each_inconsistent_ngram_once(tmp_path, caplog):
+    # "c a" has no stored prefix and holds "c", which has no unigram: one;
+    # "c a b" has its prefix stored but holds "c": two; "a b a" is sound
+    p = tmp_path / "tri.arpa"
+    p.write_text("""\\data\\
+ngram 1=3
+ngram 2=3
+ngram 3=2
+
+\\1-grams:
+-0.5\ta\t-0.1
+-1.0\tb\t-0.1
+-1.0\t<unk>
+
+\\2-grams:
+-0.3\ta b\t-0.1
+-0.2\tc a\t-0.1
+-0.4\tb a
+
+\\3-grams:
+-0.1\ta b a
+-0.1\tc a b
+
+\\end\\
+""")
+    with caplog.at_level("WARNING", logger="scribo.lm"):
+        parse_arpa(p)
+    assert caplog.messages == [f"{p}: 2 n-grams have no stored prefix or a word with no unigram"]
+
+
+@pytest.mark.parametrize("unk", [True, False], ids=["unk", "no-unk"])
+def test_a_word_with_no_unigram_is_oov(tmp_path, unk):
+    # "c" occurs only in the bigram "c a": it routes, scores and counts as
+    # the unknown "zzz" does, as the word and in the history
+    text = ODD_ARPA if unk else ODD_ARPA.replace("ngram 1=3", "ngram 1=2").replace(
+        "-1.0\t<unk>\n", "")
+    p = tmp_path / "odd.arpa"
+    p.write_text(text)
+    model = parse_arpa(p)
+    assert model.vocab == ({"a", "b", "<unk>"} if unk else {"a", "b"})
+    for history in ([], ["a"], ["b", "a"], ["c"], ["zzz"]):
+        assert model.score_word(history, "c") == model.score_word(history, "zzz")
+    for word in ("a", "b", "</s>"):
+        assert model.score_word(["c"], word) == model.score_word(["zzz"], word)
+    assert model.score_sequence(["c", "a"]) == model.score_sequence(["zzz", "a"])
+    assert model.score_sequence(["c"]).oov_count == 2   # "c" and "</s>"
+    if not unk:
+        assert model.score_word([], "c") == DEFAULT_OOV_LOG10
+
+
+@pytest.mark.parametrize("order,tables,message", [
+    (0, [], "order must be >= 1"),
+    (2, [{(0,): (-0.5, 0.0)}], "one table per order"),
+], ids=["order-0", "too-few-tables"])
+def test_model_refuses_a_bad_order_or_table_count(order, tables, message):
+    with pytest.raises(ValueError, match=message):
+        NgramModel(order, tables, ["a"])
 
 
 def test_score_stored_bigram(words_model):

@@ -591,6 +591,18 @@ def test_split_streaming_matches_the_reference(stream_setup, parts):
     assert float(np.abs(out - full).max()) <= 1e-4
 
 
+def test_streaming_refuses_features_of_the_wrong_width(stream_setup):
+    cfg, weights, _, clip, _ = stream_setup
+    feat_cfg = FeatureConfig(mel_bins=cfg.input_features + 1)
+    feats = normalize_features(logmel(clip, feat_cfg))
+    with pytest.raises(ValueError) as offline:
+        net.forward(cfg, weights, feats)
+    with pytest.raises(ValueError) as streamed:
+        net.forward_streaming(cfg, weights, clip, 1.0, feat_cfg)
+    assert str(streamed.value) == str(offline.value) == (
+        f"features shape {feats.shape} does not match input_features={cfg.input_features}")
+
+
 def _push_rows(monkeypatch):
     """The row count of every push forward_streaming makes, as it makes them."""
     rows = []

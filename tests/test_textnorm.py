@@ -53,7 +53,7 @@ def test_alphabet_json_round_trip(tmp_path):
     b"{}", b"[1]", b'{"symbols": [1]}', b'{"symbols": "ab"}', b'{"symbols": ["ab"]}',
     b'{"symbols": [["a"]]}', b'{"symbols": ["a"], "blank_index": 1e400}',
     b'{"symbols": ["a"], "blank_index": 0}', b'{"symbols": ["a"], "junk": 1}',
-    b'{"symbols": ["a"], "blank_index": "1"}', b"\xff\xfe", b"{",
+    b'{"symbols": ["a"], "blank_index": "1"}', b"\xff\xfe", b"{", b'{"symbols": []}',
 ], ids=repr)
 def test_alphabet_json_rejects_malformed_file(tmp_path, content):
     path = tmp_path / "alphabet.json"
