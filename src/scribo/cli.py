@@ -570,7 +570,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("transcribe", help="speech to text for one WAV file")
     p.add_argument("--model", help=f"model directory (default ${MODEL_DIR_ENV})")
     p.add_argument("--wav", required=True)
-    p.add_argument("--chunk", type=float, help="streaming chunk length in seconds")
+    p.add_argument("--chunk", type=_finite("chunk length", 0.0),
+                   help="streaming chunk length in seconds")
     _add_decode_flags(p)
     p.set_defaults(func=cmd_transcribe)
 
@@ -592,7 +593,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help=f"model directory (default ${MODEL_DIR_ENV})")
     p.add_argument("--manifest", required=True)
     p.add_argument("--reps", type=_count("repetition count"), default=1)
-    p.add_argument("--chunk", type=float)
+    p.add_argument("--chunk", type=_finite("chunk length", 0.0))
     p.add_argument("--workers", type=_count("worker count"), default=1)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)

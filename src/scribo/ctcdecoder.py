@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_fields
 from .lm import NgramModel
 from .textnorm import AlphabetSpec
 
@@ -33,10 +34,7 @@ class DecodeParams:
     lm: NgramModel | None = None
 
     def __post_init__(self):
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
+        check_fields(self)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 

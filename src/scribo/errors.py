@@ -6,9 +6,13 @@ can map it to a data-error exit code. Contract violations by callers
 
 Every reader of an outside file opens and decodes it here (opened,
 read_text, read_json), so all of them name a file they cannot read alike.
+Every config a file holds checks its JSON types here too (check_fields),
+so all of them refuse a mistyped value alike.
 """
 import contextlib
+import dataclasses
 import json
+import sys
 
 
 class ScriboError(Exception):
@@ -72,3 +76,36 @@ def read_json(path, error: type[ScriboError]):
     except (ValueError, RecursionError) as exc:
         # ValueError: bad JSON or an over-long integer; RecursionError: deep nesting
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+#: What check_fields asks of a field, by the type it is declared with.
+_FIELD_RULES = {
+    "int": "an integer >= 1",
+    "float": "a finite number",
+    "bool": "a boolean",
+    "str": "a string",
+}
+
+
+def _fits(kind: str, value) -> bool:
+    if isinstance(value, bool):  # json reads true and false as bool, an int subclass
+        return kind == "bool"
+    if kind == "int":
+        return isinstance(value, int) and value >= 1
+    if kind == "float":
+        # refuses NaN, the infinities and an int too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return kind == "str" and isinstance(value, str)
+
+
+def check_fields(obj) -> None:
+    """Refuse a field of the dataclass ``obj`` declared int, float, bool or
+    str whose value is of another JSON type, with ValueError("<field> must
+    be ..."): configs also come from files, where any JSON value can stand.
+    A bool is neither an int nor a number, every int field is a count >= 1
+    and every float field is finite; fields of other types are the
+    dataclass's own to check."""
+    for f in dataclasses.fields(obj):
+        kind = getattr(f.type, "__name__", f.type)  # a str under postponed annotations
+        if kind in _FIELD_RULES and not _fits(kind, getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {_FIELD_RULES[kind]}")

@@ -9,7 +9,6 @@ travels with saved model weights.
 from __future__ import annotations
 
 import contextlib
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AudioFormatError, opened
+from .errors import AudioFormatError, check_fields, opened
 
 SAMPLE_RATE = 16000
 
@@ -55,23 +54,15 @@ class FeatureConfig:
     log_epsilon: float = 2.0 ** -24
 
     def __post_init__(self):
-        # configs also come from model manifests, where any JSON value can stand
-        for name in ("fft_size", "mel_bins"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("window_length", "hop_length", "fmin", "fmax", "log_epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number")
-        if self.mel_bins < 1:
-            raise ValueError("mel_bins must be >= 1")
+        check_fields(self)
         if self.fft_size < self.window_samples:
             raise ValueError("fft_size must cover the analysis window")
         if not 0 <= self.fmin < self.fmax <= SAMPLE_RATE / 2:
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
         if self.hop_samples < 1 or self.window_samples < 1:
             raise ValueError("window and hop must be positive")
+        if self.log_epsilon <= 0:
+            raise ValueError("log_epsilon must be > 0")
 
     @property
     def window_samples(self) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WeightError, opened, read_json
+from .errors import WeightError, check_fields, opened, read_json
 from .features import SAMPLE_RATE, AudioClip, FeatureConfig, logmel, normalize_features
 from .textnorm import AlphabetSpec
 
@@ -34,15 +33,6 @@ BN_EPS = 1e-5
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-
-def _check_counts(spec, names) -> None:
-    """Each named field of ``spec`` must be an integer >= 1 (configs also
-    come from model manifests, where any JSON value can stand)."""
-    for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,10 +46,7 @@ class ConvSpec:
     separable: bool = True
 
     def __post_init__(self):
-        _check_counts(self, ("kernel", "channels", "stride", "dilation"))
-        # a manifest's "false" or 0 would otherwise read as its truth value
-        if not isinstance(self.separable, bool):
-            raise ValueError("separable must be true or false")
+        check_fields(self)
         if not self.separable and (self.kernel, self.stride, self.dilation) != (1, 1, 1):
             raise ValueError("a pointwise conv (separable=False) needs kernel, stride "
                              "and dilation 1")
@@ -81,9 +68,7 @@ class BlockGroup:
     residual: bool = True
 
     def __post_init__(self):
-        _check_counts(self, ("repeats", "sub_blocks", "kernel", "channels"))
-        if not isinstance(self.residual, bool):
-            raise ValueError("residual must be true or false")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -98,7 +83,7 @@ class NetConfig:
     )
 
     def __post_init__(self):
-        _check_counts(self, ("vocab_size", "input_features"))
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
@@ -780,11 +765,6 @@ def _read_hashed(path: Path) -> tuple[np.ndarray, str]:
     return blob[:filled], digest.hexdigest()
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: json reads true and false as bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _manifest_path(path) -> Path:
     """The manifest of a model given as its directory or its manifest."""
     path = Path(path)
@@ -820,8 +800,9 @@ def read_tensor_blob(path) -> tuple[dict[str, np.ndarray], dict]:
             raise WeightError(f"{manifest_path}: malformed tensor entry {i}: "
                               "name must be a string")
         where = f"{manifest_path}: tensor {name!r}"
-        if not (isinstance(shape, list) and all(map(_is_int, shape))
-                and _is_int(offset) and _is_int(length)):
+        # json reads true and false as bool, an int subclass
+        if not (isinstance(shape, list)
+                and all(type(v) is int for v in (*shape, offset, length))):
             raise WeightError(f"{where}: shape, offset and length must be JSON integers")
         if name in tensors:
             raise WeightError(f"{where}: listed twice")

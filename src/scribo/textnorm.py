@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import RuleFileError, ScriboError, read_json
+from .errors import RuleFileError, ScriboError, check_fields, read_json
 
 # Token is an integer amount with "." or "," thousands separators.
 _THOUSANDS_RE = re.compile(r"^\d{1,3}(?:[.,]\d{3})+$")
@@ -47,11 +47,10 @@ class AlphabetSpec:
                 raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be unique")
-        if isinstance(self.blank_index, bool) or not isinstance(self.blank_index, int):
-            raise ValueError("blank_index must be an integer")
-        if self.blank_index == -1:
+        if type(self.blank_index) is int and self.blank_index == -1:  # the default
             object.__setattr__(self, "blank_index", len(self.symbols))
-        elif self.blank_index != len(self.symbols):
+        check_fields(self)
+        if self.blank_index != len(self.symbols):
             raise ValueError("blank_index must equal len(symbols) (blank is last)")
 
     @property
@@ -99,60 +98,45 @@ ALPHABETS: dict[str, AlphabetSpec] = {
 
 @dataclass(frozen=True)
 class NormRules:
-    """Validated normalization rules for one language."""
+    """Normalization rules for one language: ``replacements`` are
+    [pattern, replacement] string pairs applied in order, ``units`` maps
+    unit tokens to their spoken form, ``number_language`` names a number
+    spelling table and ``lowercase`` says whether to lowercase first."""
 
     replacements: tuple[tuple[str, str], ...] = ()
     units: dict[str, str] = field(default_factory=dict)
     number_language: str = "en"
     lowercase: bool = True
 
-
-_RULE_KEYS = {"replacements", "units", "number_language", "lowercase"}
+    def __post_init__(self):
+        check_fields(self)
+        if not isinstance(self.replacements, (list, tuple)):
+            raise ValueError("replacements must be an array")
+        for i, pair in enumerate(self.replacements):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str) and pair[0]):
+                raise ValueError(f"replacements[{i}] must be a [pattern, replacement] "
+                                 "string pair")
+        object.__setattr__(self, "replacements", tuple(map(tuple, self.replacements)))
+        if not isinstance(self.units, dict) or not all(
+            isinstance(k, str) and k and isinstance(v, str) for k, v in self.units.items()
+        ):
+            raise ValueError("units must map unit tokens to spoken-form strings")
+        if self.number_language not in _NUMBER_TABLES:
+            raise ValueError(f"number_language must be one of {sorted(_NUMBER_TABLES)}, "
+                             f"got {self.number_language!r}")
 
 
 def load_rules(path: str | Path) -> NormRules:
-    """Load and validate a JSON rule file.
-
-    The file must be a JSON object with keys ``replacements`` (array of
-    [pattern, replacement] string pairs, applied in order), ``units``
-    (object token -> spoken form), ``number_language`` (string) and
-    ``lowercase`` (bool, default true). Unknown keys are rejected.
-    """
+    """Load a JSON rule file: an object holding NormRules' keyword
+    arguments. A file that breaks them raises RuleFileError naming it."""
     raw = read_json(path, RuleFileError)
-    if not isinstance(raw, dict):
-        raise RuleFileError(f"{path}: rule file must be a JSON object")
-    unknown = set(raw) - _RULE_KEYS
-    if unknown:
-        raise RuleFileError(f"{path}: unknown keys {sorted(unknown)}")
-
-    pairs = raw.get("replacements", [])
-    if not isinstance(pairs, list):
-        raise RuleFileError(f"{path}: replacements must be an array")
-    replacements = []
-    for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(p, str) for p in pair)
-            or not pair[0]
-        ):
-            raise RuleFileError(f"{path}: replacements[{i}] must be a [pattern, replacement] string pair")
-        replacements.append((pair[0], pair[1]))
-
-    units = raw.get("units", {})
-    if not isinstance(units, dict) or not all(
-        isinstance(k, str) and k and isinstance(v, str) for k, v in units.items()
-    ):
-        raise RuleFileError(f"{path}: units must map unit tokens to spoken-form strings")
-
-    number_language = raw.get("number_language", "en")
-    if not isinstance(number_language, str):
-        raise RuleFileError(f"{path}: number_language must be a string")
-    lowercase = raw.get("lowercase", True)
-    if not isinstance(lowercase, bool):
-        raise RuleFileError(f"{path}: lowercase must be a boolean")
-
-    return NormRules(tuple(replacements), dict(units), number_language, lowercase)
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError("rule file must be a JSON object")
+        return NormRules(**raw)
+    except (TypeError, ValueError) as exc:
+        raise RuleFileError(f"{path}: {exc}") from exc
 
 
 def shipped_rules(lang: str) -> NormRules:

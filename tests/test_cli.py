@@ -464,14 +464,26 @@ def test_transcribe_chunked_matches_full(capsys, tiny_model_dir, tmp_path):
     assert chunked["stages"]["features"] == 0.0   # folded into forward
 
 
-@pytest.mark.parametrize("chunk", ["inf", "nan", "0", "-1", "0.001"])
+@pytest.mark.parametrize("chunk", ["0", "0.001"])
 def test_transcribe_bad_chunk_is_data_error(capsys, tiny_model_dir, tmp_path, chunk):
+    # a finite length >= 0 parses; below one feature hop the model refuses it
     wav = tmp_path / "clip.wav"
     write_wav(wav, tone(1.0))
     code, _, err = run_cli(capsys, "transcribe", "--model", str(tiny_model_dir),
                            "--wav", str(wav), "--chunk", chunk)
     assert code == 2
     assert "chunk" in err
+
+
+@pytest.mark.parametrize("command", ["transcribe", "bench"])
+@pytest.mark.parametrize("chunk", ["inf", "nan", "-1", "x"])
+def test_bad_chunk_is_usage_error_before_loading(capsys, tmp_path, command, chunk):
+    # the model directory does not exist: a usage error comes first
+    source = ["--wav", "clip.wav"] if command == "transcribe" else ["--manifest", "m.tsv"]
+    code, _, err = run_cli(capsys, command, "--model", str(tmp_path / "absent"), *source,
+                           f"--chunk={chunk}")
+    assert code == 1
+    assert "chunk length must be a finite number >= 0" in err
 
 
 def test_transcribe_model_from_environment(capsys, tiny_model_dir, tmp_path,

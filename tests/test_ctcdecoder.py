@@ -147,6 +147,13 @@ def test_beam_width_validation():
         DecodeParams(beam_width=0)
 
 
+@pytest.mark.parametrize("width", [2.5, True, "8"], ids=repr)
+def test_beam_width_must_be_an_integer(width):
+    # 2.5 failed mid-decode in numpy's partition; True searched at width 1
+    with pytest.raises(ValueError, match="beam_width must be an integer >= 1"):
+        DecodeParams(beam_width=width)
+
+
 @pytest.mark.parametrize("weights", [{"alpha": math.nan}, {"alpha": math.inf},
                                      {"beta": math.nan}, {"beta": math.inf},
                                      {"beta": -math.inf}], ids=repr)

@@ -1,8 +1,16 @@
 """The one reading rule: how an outside file is opened, decoded and
-named when that fails."""
+named when that fails; and the one field rule: how a config read from a
+file refuses a value of the wrong JSON type."""
+import dataclasses
+import math
+
 import pytest
 
+from scribo.ctcdecoder import DecodeParams
 from scribo.errors import ArpaError, RuleFileError, decode_text, opened, read_json, read_text
+from scribo.features import FeatureConfig
+from scribo.net import BlockGroup, ConvSpec, NetConfig
+from scribo.textnorm import AlphabetSpec, NormRules
 
 
 @pytest.mark.parametrize("raw,text", [
@@ -73,3 +81,44 @@ def test_read_json_names_bad_bytes_and_bad_json(tmp_path):
         read_json(path, RuleFileError)
     path.write_bytes(b'{"a":\r\n [1, "\xc3\xa4"]}')
     assert read_json(path, RuleFileError) == {"a": [1, "ä"]}
+
+
+#: Each config dataclass a file can hold, with keyword arguments it takes.
+_CONFIGS = [
+    (ConvSpec, {"kernel": 3, "channels": 4}),
+    (BlockGroup, {"repeats": 1, "sub_blocks": 1, "kernel": 3, "channels": 4}),
+    (NetConfig, {"vocab_size": 3}),
+    (FeatureConfig, {}),
+    (AlphabetSpec, {"symbols": ("a",)}),
+    (DecodeParams, {}),
+    (NormRules, {}),
+]
+
+#: Values of another JSON type than each declared field type.
+_WRONG = {
+    "int": [True, "1", 2.5, 0],
+    "float": [True, "1", math.nan, math.inf],
+    "bool": [1, "1"],
+    "str": [True, 1],
+}
+
+_FIELD_CASES = [
+    pytest.param(cls, kwargs, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    for cls, kwargs in _CONFIGS
+    for f in dataclasses.fields(cls) if f.type in _WRONG
+    for value in _WRONG[f.type]
+]
+
+
+def test_field_cases_cover_every_config_and_kind():
+    # fields are matched by their declared type's name; one declared
+    # otherwise would drop out of the cases unseen
+    assert {f.type for cls, _ in _CONFIGS for f in dataclasses.fields(cls)} >= set(_WRONG)
+    assert {case.values[0] for case in _FIELD_CASES} == {cls for cls, _ in _CONFIGS}
+
+
+@pytest.mark.parametrize("cls,kwargs,name,value", _FIELD_CASES)
+def test_config_refuses_a_field_of_another_json_type(cls, kwargs, name, value):
+    cls(**kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{**kwargs, name: value})

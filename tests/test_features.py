@@ -98,6 +98,9 @@ def test_config_validation():
         FeatureConfig(fmax=9000.0)             # above Nyquist
     with pytest.raises(ValueError):
         FeatureConfig(mel_bins=0)
+    for epsilon in (-1.0, 0.0):  # log(power + epsilon) is -inf or NaN on silent bins
+        with pytest.raises(ValueError, match="log_epsilon must be > 0"):
+            FeatureConfig(log_epsilon=epsilon)
 
 
 @pytest.mark.parametrize("name", ["window_length", "hop_length", "fmin", "fmax",

@@ -3,7 +3,8 @@ numpy, every import in a package module is used, every module-level
 private name is read somewhere in the package, every public function,
 class and method is read outside the unit tests, and every name the
 benchmark's traced mode patches exists, the README names every
-dataset format, and no module but ``errors.py`` reads a file itself.
+dataset format, and no module but ``errors.py`` reads a file itself or
+tells a JSON boolean from a number.
 
 No linter ships with the toolchain, so this check stands in for one.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -252,3 +253,31 @@ def test_only_errors_reads_files(path):
     source = path.read_text(encoding="utf-8")
     assert file_reads(source) == []
     assert "cannot read" not in source
+
+
+def bool_checks(source: str) -> list[int]:
+    """Lines of the ``isinstance`` calls in ``source`` whose class argument
+    is ``bool`` or a tuple holding it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id == "bool" for n in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_only_the_bool_checks():
+    source = ("isinstance(v, bool)\nisinstance(v, (int, bool))\nisinstance(v, int)\n"
+              "type(v) is bool\nx = bool(v)\nisinstance(v, (int, float))\n")
+    assert bool_checks(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_errors_checks_json_types(path):
+    # a config read from a file checks its fields through errors.check_fields,
+    # so a mistyped value is refused by one rule, written once
+    assert bool_checks(path.read_text(encoding="utf-8")) == []

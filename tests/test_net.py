@@ -1138,6 +1138,9 @@ def test_read_rejects_unparsable_manifest(tmp_path, text):
     ("features", "fft_size", 500.0),
     ("features", "mel_bins", True),
     ("features", "log_epsilon", "tiny"),
+    ("features", "log_epsilon", -1.0),
+    ("features", "log_epsilon", 0.0),
+    ("features", "log_epsilon", float("nan")),
     ("alphabet", "blank_index", float("inf")),
 ])
 def test_load_rejects_bad_config_value(tiny_model_dir, tmp_path, section, key, value):

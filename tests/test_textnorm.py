@@ -122,6 +122,9 @@ def test_load_rules_unknown_key(tmp_path):
     ({"units": {"": "gramm"}}, "units must map"),
     ({"number_language": 7}, "number_language must be a string"),
     ({"lowercase": "yes"}, "lowercase must be a boolean"),
+    ({"number_language": "fr"}, "number_language must be one of"),
+    ({"replacements": [["", "x"]]}, r"replacements\[0\] must be a \[pattern, replacement\]"),
+    ({"replacments": []}, "NormRules.* unexpected keyword argument 'replacments'"),
 ])
 def test_load_rules_names_the_mistyped_field(tmp_path, content, message):
     f = tmp_path / "r.json"
@@ -142,6 +145,16 @@ def test_load_rules_rejects_unreadable_file(tmp_path, text):
     f.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(RuleFileError):
         load_rules(f)
+
+
+def test_normalize_refuses_a_rule_file_without_a_spelling_table(tmp_path):
+    # with "fr" the file loaded and only text with a digit failed, unnamed
+    f = tmp_path / "r.json"
+    f.write_text(json.dumps({"number_language": "fr"}))
+    for text in ("abc", "3 kg"):
+        code, err = run_quietly("normalize", "--rules", str(f), "--text", text)
+        assert code == 2
+        assert f"{f}: number_language must be one of ['de', 'en'], got 'fr'" in err
 
 
 def test_load_rules_malformed_json(tmp_path):
