@@ -138,14 +138,6 @@ def _finite(what: str, low: float = -math.inf, high: float = math.inf):
     return parse
 
 
-def _map(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads when above 1."""
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _decode_params(args) -> DecodeParams | None:
     """None means greedy decoding."""
     if args.decoder == "greedy" and args.arpa:
@@ -248,8 +240,7 @@ def cmd_bench(args) -> int:
 
     transcribe(model, paths[0], args.chunk, params)  # warm-up, excluded
     jobs = [p for _ in range(args.reps) for p in paths]
-    results = _map(lambda path: transcribe(model, path, args.chunk, params), jobs,
-                   args.workers)
+    results = [transcribe(model, path, args.chunk, params) for path in jobs]
 
     rtfs = [rep.rtf for _, rep in results]
     total_audio = sum(rep.clip_duration for _, rep in results)
@@ -266,8 +257,6 @@ def cmd_bench(args) -> int:
         "total_audio": total_audio,
         "total_wall": total_wall,
         "peak_rss_mib": _peak_rss_mib(),
-        # worker threads multiply with BLAS threads unless BLAS is pinned
-        "workers": args.workers,
         **{var: os.environ.get(var) for var in THREAD_ENV},
         "row_parts": row_parts(),
     }
@@ -276,7 +265,7 @@ def cmd_bench(args) -> int:
           f"{len(rtfs)} measurements: mean rtf {summary['mean_rtf']:.3f}, "
           f"median rtf {summary['median_rtf']:.3f}, p90 rtf {summary['p90_rtf']:.3f}, "
           f"aggregate {summary['aggregate_rtf']:.3f}; peak RSS {summary['peak_rss_mib']:.1f} MiB; "
-          f"workers {args.workers}, {threads}, row parts {summary['row_parts']}")
+          f"{threads}, row parts {summary['row_parts']}")
     return 0
 
 
@@ -302,7 +291,8 @@ def cmd_corpus_convert(args) -> int:
         duration = corpus_mod.convert_audio(corpus_mod._audio_path(base, item.filepath), dst)
         return corpus_mod.DatasetItem(rel, item.text, duration, item.speaker)
 
-    converted = _map(convert, items, args.workers)
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        converted = list(pool.map(convert, items))
 
     manifest = corpus_mod.write_dataset(converted, "manifest-csv", out)
     sidecar = {"resampler": corpus_mod.RESAMPLE_METHOD,
@@ -594,7 +584,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--reps", type=_count("repetition count"), default=1)
     p.add_argument("--chunk", type=_finite("chunk length", 0.0))
-    p.add_argument("--workers", type=_count("worker count"), default=1)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -55,6 +55,10 @@ class FeatureConfig:
 
     def __post_init__(self):
         check_fields(self)
+        # bounded before the sample properties round them: a finite length
+        # near the float maximum overflows to an infinite sample count
+        if not (self.window_length <= 3600 and self.hop_length <= 3600):
+            raise ValueError("window and hop must be at most 3600 s")
         if self.fft_size < self.window_samples:
             raise ValueError("fft_size must cover the analysis window")
         if not 0 <= self.fmin < self.fmax <= SAMPLE_RATE / 2:

@@ -834,6 +834,7 @@ def save_weights(directory, cfg: NetConfig, weights: NetworkWeights,
                  feat_cfg: FeatureConfig, alphabet: AlphabetSpec,
                  name: str = "model") -> Path:
     """Persist a model directory (manifest.json + weights.bin)."""
+    validate_weights(cfg, weights)
     if alphabet.size != cfg.vocab_size:
         raise ValueError("alphabet size does not match cfg.vocab_size")
     if feat_cfg.mel_bins != cfg.input_features:
@@ -872,7 +873,7 @@ def load_weights(path) -> LoadedModel:
             raise WeightError("manifest features mel_bins disagrees with net input_features")
     except WeightError as exc:
         raise WeightError(f"{manifest_path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise WeightError(f"{manifest_path}: malformed model manifest section: {exc!r}") from exc
     return LoadedModel(manifest.get("model", "model"), cfg, weights, feat_cfg, alphabet)
 

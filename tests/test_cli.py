@@ -7,6 +7,7 @@ import shutil
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,12 +92,11 @@ def test_greedy_decoder_with_arpa_is_usage_error(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
-@pytest.mark.parametrize("command", ["bench", "corpus convert"])
+@pytest.mark.parametrize("command", ["corpus convert"])
 def test_workers_below_one_is_usage_error(capsys, tmp_path, command, workers):
     out = tmp_path / "out"
-    argv = {"bench": ["bench", "--manifest", str(tmp_path / "m.tsv")],
-            "corpus convert": ["corpus", "convert", "--format", "folder-txt",
-                               "--in", str(tmp_path / "raw"), "--out", str(out)]}[command]
+    argv = [*command.split(), "--format", "folder-txt",
+            "--in", str(tmp_path / "raw"), "--out", str(out)]
     code, _, err = run_cli(capsys, *argv, "--workers", workers)
     assert code == 1
     assert "worker count" in err
@@ -573,6 +573,7 @@ def test_bench_measurements_and_summary(capsys, tiny_model_dir, wav_dir):
     lines = jlines(out)
     assert len(lines) == 5
     measurements, summary = lines[:4], lines[4]
+    assert [Path(m["clip"]).name for m in measurements] == ["one.wav", "two.wav"] * 2
     for m in measurements:
         assert m["rtf"] > 0
         assert sum(m["stages"].values()) <= m["wall_time"] + 1e-3
@@ -629,7 +630,15 @@ def test_bench_empty_manifest(capsys, tiny_model_dir, tmp_path):
     assert "empty manifest" in err
 
 
-def test_bench_workers_matches_serial_count(capsys, monkeypatch, tiny_model_dir, wav_dir):
+def test_bench_has_no_workers_flag(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(tmp_path / "m.tsv"),
+                             "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --workers 2" in err
+
+
+def test_bench_records_the_thread_settings(capsys, monkeypatch, tiny_model_dir, wav_dir):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(net, "_PARTS", 2)
@@ -637,13 +646,12 @@ def test_bench_workers_matches_serial_count(capsys, monkeypatch, tiny_model_dir,
              corpus.DatasetItem("two.wav", "y", 0.5)]
     manifest = make_manifest(wav_dir, items, name="bench")
     code, out, _ = run_cli(capsys, "--json", "bench", "--model",
-                           str(tiny_model_dir), "--manifest", str(manifest),
-                           "--workers", "2")
+                           str(tiny_model_dir), "--manifest", str(manifest))
     assert code == 0
     summary = jlines(out)[-1]
     assert summary["measurements"] == 2
-    # the thread settings that decide whether workers stack on BLAS threads
-    assert summary["workers"] == 2
+    # the thread settings that decide how each forward splits its rows
+    assert "workers" not in summary
     assert summary["OPENBLAS_NUM_THREADS"] == "1"
     assert summary["OMP_NUM_THREADS"] is None
     assert summary["row_parts"] == 2

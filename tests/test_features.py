@@ -118,6 +118,14 @@ def test_config_refuses_a_window_or_hop_of_no_samples(lengths):
         FeatureConfig(**lengths)
 
 
+@pytest.mark.parametrize("lengths", [{"window_length": 1e308}, {"hop_length": 1e308}],
+                         ids=repr)
+def test_config_refuses_a_window_or_hop_whose_sample_count_overflows(lengths):
+    # 1e308 s is finite, but 1e308 * 16000 samples is not
+    with pytest.raises(ValueError, match="window and hop must be at most 3600 s"):
+        FeatureConfig(**lengths)
+
+
 def test_config_dict_round_trip():
     cfg = FeatureConfig(mel_bins=20, fmax=7000.0)
     assert FeatureConfig(**dataclasses.asdict(cfg)) == cfg

@@ -3,13 +3,15 @@ numpy, every import in a package module is used, every module-level
 private name is read somewhere in the package, every public function,
 class and method is read outside the unit tests, and every name the
 benchmark's traced mode patches exists, the README names every
-dataset format, and no module but ``errors.py`` reads a file itself or
-tells a JSON boolean from a number.
+dataset format, no module but ``errors.py`` reads a file itself or
+tells a JSON boolean from a number, and every command-line option is
+read by its command.
 
 No linter ships with the toolchain, so this check stands in for one.
 ``__init__.py`` is exempt from the unused-import check: its imports are
 the package's re-exports.
 """
+import argparse
 import ast
 import re
 import sys
@@ -281,3 +283,73 @@ def test_only_errors_checks_json_types(path):
     # a config read from a file checks its fields through errors.check_fields,
     # so a mistyped value is refused by one rule, written once
     assert bool_checks(path.read_text(encoding="utf-8")) == []
+
+
+def _param_reads(funcs: dict, name: str) -> set[str]:
+    """The attributes that module function ``name`` reads from its first
+    parameter, itself or through each module function it passes that
+    parameter to, transitively."""
+    reads, seen, todo = set(), {name}, [name]
+    while todo:
+        fn = funcs[todo.pop()]
+        param = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == param:
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in funcs
+                  and node.func.id not in seen
+                  and any(getattr(a, "id", None) == param for a in node.args)):
+                seen.add(node.func.id)
+                todo.append(node.func.id)
+    return reads
+
+
+def _commands(parser: argparse.ArgumentParser):
+    """(``func`` default, option dests) for each subcommand under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _commands(sub)
+    func = parser.get_default("func")
+    if func is not None:
+        yield func, [a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """``function:dest`` for each option of a subcommand of ``parser`` that
+    its ``set_defaults(func=...)`` function, defined in ``source``, does
+    not read as ``args.<dest>``, itself or through a module function it
+    passes ``args`` to."""
+    funcs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    return sorted(f"{func.__name__}:{dest}" for func, dests in _commands(parser)
+                  for dest in set(dests) - _param_reads(funcs, func.__name__))
+
+
+def test_checker_flags_only_the_unread_options():
+    source = ("import argparse\n"
+              "def _common(p):\n    p.add_argument('--verbose', action='store_true')\n"
+              "def _level(args):\n    return args.verbose\n"
+              "def cmd_a(args):\n    return args.name, args.src, _level(args)\n"
+              "def cmd_b(args):\n    return args.name\n"
+              "def _build_parser():\n    parser = argparse.ArgumentParser()\n"
+              "    parser.add_argument('--json', action='store_true')\n"
+              "    sub = parser.add_subparsers()\n"
+              "    p = sub.add_parser('a')\n    p.add_argument('name')\n"
+              "    p.add_argument('--in', dest='src')\n    _common(p)\n"
+              "    p.set_defaults(func=cmd_a)\n"
+              "    p = sub.add_parser('b')\n    p.add_argument('--name')\n"
+              "    p.add_argument('-n', '--dry-run')\n    _common(p)\n"
+              "    p.set_defaults(func=cmd_b)\n"
+              "    return parser\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    assert unread_options(namespace["_build_parser"](), source) == \
+        ["cmd_b:dry_run", "cmd_b:verbose"]
+
+
+def test_every_cli_option_is_read():
+    # an option its command never reads is a flag that changes nothing
+    from scribo import cli
+
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert unread_options(cli._build_parser(), source) == []

@@ -48,10 +48,12 @@ def test_netconfig_dict_round_trip(small_cfg):
     assert net.NetConfig.from_dict(dataclasses.asdict(small_cfg)) == small_cfg
 
 
-def test_saved_manifest_text_is_pinned(tmp_path):
+def test_saved_manifest_text_is_pinned(tmp_path, monkeypatch):
     # The config sections of a model manifest, byte for byte: a change to
     # how NetConfig, FeatureConfig or AlphabetSpec serialize shows here.
-    # No tensors, so the blob checksum is that of zero bytes.
+    # No tensors, so the blob checksum is that of zero bytes; the weight
+    # check that would refuse an empty set is not what this pins.
+    monkeypatch.setattr(net, "validate_weights", lambda cfg, weights: None)
     path = net.save_weights(tmp_path, net.quartznet15x5(28), net.NetworkWeights({}),
                             FeatureConfig(), ALPHABETS["en"], name="qn")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
@@ -342,7 +344,7 @@ def test_exception_in_a_helper_block_comes_out_of_forward(small_net, monkeypatch
 
 def test_concurrent_forwards_sharing_the_helpers_are_bitwise_the_reference(small_net,
                                                                            monkeypatch):
-    # the bench --workers case: several forwards split rows over one pool
+    # library callers may run forwards on threads: they split rows over one pool
     monkeypatch.setattr(net, "_PARTS", 2)
     cfg, weights = small_net
     feats = [rand_features(np.random.default_rng(t), t) for t in (601, 403, 777)]
@@ -894,6 +896,22 @@ def test_save_rejects_vocab_alphabet_mismatch(tmp_path):
                          FeatureConfig(mel_bins=8), ALPHABETS["es"])
 
 
+@pytest.mark.parametrize("change,message", [("missing", "missing tensor 'b1.s2.dw'"),
+                                            ("extra", r"unexpected tensors: \['stray'\]")],
+                         ids=["missing", "extra"])
+def test_save_rejects_weights_that_load_would_refuse(tmp_path, change, message):
+    cfg = small_config(vocab_size=28)
+    tensors = dict(net.random_weights(cfg, seed=1).tensors)
+    if change == "missing":
+        del tensors["b1.s2.dw"]
+    else:
+        tensors["stray"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(WeightError, match=message):
+        net.save_weights(tmp_path / "m", cfg, net.NetworkWeights(tensors),
+                         FeatureConfig(mel_bins=8), ALPHABETS["en"])
+    assert not (tmp_path / "m").exists()  # refused before anything is written
+
+
 def test_load_rejects_tampered_alphabet(tmp_path):
     cfg = small_config(vocab_size=28)
     net.save_weights(tmp_path, cfg, net.random_weights(cfg, seed=1),
@@ -1141,6 +1159,7 @@ def test_read_rejects_unparsable_manifest(tmp_path, text):
     ("features", "log_epsilon", -1.0),
     ("features", "log_epsilon", 0.0),
     ("features", "log_epsilon", float("nan")),
+    ("features", "window_length", 1e308),
     ("alphabet", "blank_index", float("inf")),
 ])
 def test_load_rejects_bad_config_value(tiny_model_dir, tmp_path, section, key, value):
