@@ -8,10 +8,10 @@ cli (the `scribo` command).
 """
 
 from .ctcdecoder import (DecodeParams, Hypothesis, beam_decode, collapse, greedy_decode,
-                         word_error_rate)
+                         word_edits)
 from .corpus import (CleaningReport, CorpusStats, DatasetItem, clean_corpus,
-                     compute_stats, convert_audio, read_dataset, read_manifest,
-                     split_dataset, write_dataset)
+                     compute_stats, convert_audio, convert_dataset, read_dataset,
+                     read_manifest, split_dataset, write_dataset)
 from .errors import (ArpaError, AudioFormatError, DatasetError, RuleFileError,
                      ScriboError, WeightError)
 from .features import (AudioClip, FeatureConfig, load_wav, logmel, mel_filterbank,

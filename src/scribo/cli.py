@@ -21,15 +21,14 @@ import resource
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import lm as lm_mod
-from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_error_rate
-from .errors import DatasetError, ScriboError, WeightError, decode_text, read_text
-from .features import SAMPLE_RATE, load_wav, logmel, normalize_features
+from .ctcdecoder import DecodeParams, beam_decode, greedy_decode, word_edits
+from .errors import ScriboError, WeightError, decode_text, read_text
+from .features import load_wav, logmel, normalize_features
 from .net import (MAX_INIT_SCALE, THREAD_ENV, LoadedModel, adapt_alphabet, forward,
                   forward_streaming, load_weights, param_count, read_tensor_blob, row_parts,
                   save_weights)
@@ -59,8 +58,11 @@ class RtfReport:
 
     clip_duration: float
     wall_time: float
-    rtf: float
     stage_breakdown: dict[str, float]
+
+    @property
+    def rtf(self) -> float:
+        return self.wall_time / self.clip_duration
 
     def to_dict(self) -> dict:
         return {
@@ -196,9 +198,7 @@ def transcribe(model: LoadedModel, wav_path, chunk: float | None = None,
         text = beam_decode(logits, model.alphabet, params)[0].text
     stages["decode"] = time.perf_counter() - t0
 
-    wall = time.perf_counter() - start
-    report = RtfReport(clip.duration, wall, wall / clip.duration, stages)
-    return text, report
+    return text, RtfReport(clip.duration, time.perf_counter() - start, stages)
 
 
 def _report_line(report: RtfReport) -> str:
@@ -274,32 +274,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_corpus_convert(args) -> int:
-    src = Path(args.src)
-    out = Path(args.out)
-    base = src if src.is_dir() else src.parent
-    items = corpus_mod.read_dataset(args.format, src)
-    for item in items:
-        rel = Path(item.filepath)
-        if rel.is_absolute() or ".." in rel.parts:
-            raise DatasetError(f"{src}: audio path {item.filepath!r} leads out of --out")
-    out.mkdir(parents=True, exist_ok=True)
-
-    def convert(item: corpus_mod.DatasetItem) -> corpus_mod.DatasetItem:
-        rel = str(Path(item.filepath).with_suffix(".wav"))
-        dst = out / rel
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        duration = corpus_mod.convert_audio(corpus_mod._audio_path(base, item.filepath), dst)
-        return corpus_mod.DatasetItem(rel, item.text, duration, item.speaker)
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        converted = list(pool.map(convert, items))
-
-    manifest = corpus_mod.write_dataset(converted, "manifest-csv", out)
-    sidecar = {"resampler": corpus_mod.RESAMPLE_METHOD,
-               "target": f"PCM-16 mono {SAMPLE_RATE} Hz", "items": len(converted)}
-    (out / "conversion.json").write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
+    manifest, sidecar = corpus_mod.convert_dataset(args.format, args.src, args.out,
+                                                   workers=args.workers)
     _emit(args, {"manifest": str(manifest), **sidecar},
-          f"converted {len(converted)} items -> {manifest}")
+          f"converted {sidecar['items']} items -> {manifest}")
     return 0
 
 
@@ -442,19 +420,17 @@ def cmd_adapt(args) -> int:
                                           target, init=args.init, scale=args.scale,
                                           seed=args.seed)
     new_symbols = [s for s in target.symbols if s not in model.alphabet.symbols]
-    mode = "extend" if new_symbols else "shrink"
     out = Path(args.out)
     save_weights(out, new_cfg, new_weights, model.features, target,
                  name=f"{model.name}-adapted")
     obj = {
         "out": str(out),
-        "mode": mode,
         "vocab_size": new_cfg.vocab_size,
         "new_symbols": new_symbols,
         "params": param_count(new_cfg),
     }
     _emit(args, obj,
-          f"{mode}: vocab {model.net.vocab_size} -> {new_cfg.vocab_size}, "
+          f"vocab {model.net.vocab_size} -> {new_cfg.vocab_size}, "
           f"new symbols {new_symbols}, saved to {out}")
     return 0
 
@@ -467,17 +443,14 @@ def cmd_eval(args) -> int:
             f"line count mismatch: {args.ref} has {len(ref_lines)}, "
             f"{args.hyp} has {len(hyp_lines)}"
         )
-    total_words = 0
-    total_errors = 0.0
+    total_words = total_edits = 0
     for ref, hyp in zip(ref_lines, hyp_lines):
-        words = len(ref.split())
-        if words == 0:
-            continue
-        total_errors += word_error_rate(ref, hyp) * words
-        total_words += words
+        ref_words = ref.split()
+        total_edits += word_edits(ref_words, hyp.split())
+        total_words += len(ref_words)
     if total_words == 0:
         raise ScriboError(f"{args.ref}: no reference words")
-    wer = total_errors / total_words
+    wer = total_edits / total_words
     _emit(args, {"wer": wer, "reference_words": total_words},
           f"wer {wer:.4f} over {total_words} reference words")
     return 0

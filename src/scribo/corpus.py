@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import logging
 import math
 import random
 import wave
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -447,15 +449,13 @@ def clean_corpus(items) -> CleaningReport:
 
 
 def compute_stats(items) -> CorpusStats:
-    """Corpus totals plus speaker counts, most recorded first."""
+    """Corpus totals, the corpus_averages that cleaning uses, and speaker
+    counts, most recorded first."""
     items = list(items)
     total = sum(it.duration for it in items)
-    timed = [it for it in items if it.duration > 0]
-    mean_cps = sum(it.chars_per_second for it in timed) / len(timed) if timed else 0.0
-    mean_dur = sum(it.duration for it in timed) / len(timed) if timed else 0.0
     counts = Counter(it.speaker for it in items if it.speaker is not None)
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return CorpusStats(len(items), total, mean_cps, mean_dur, top)
+    return CorpusStats(len(items), total, *corpus_averages(items), top)
 
 
 def _partition_names(n: int, names=None) -> list[str]:
@@ -567,3 +567,34 @@ def write_dataset(items, format_tag: str, out_dir, name: str = "dataset") -> Pat
                 row.append((it.speaker or "").translate(_TSV_UNSAFE))
             fh.write("\t".join(row) + "\n")
     return manifest
+
+
+def convert_dataset(format_tag: str, src, out, workers: int = 1) -> tuple[Path, dict]:
+    """Convert a READ_FORMATS dataset into ``out`` on ``workers`` threads:
+    each item's audio as PCM-16 mono 16 kHz at its path with a ``.wav``
+    suffix, the manifest and ``conversion.json``. Returns the manifest path
+    and that sidecar. An absolute or ``..`` item path raises DatasetError
+    before anything is written, so nothing lands outside ``out``."""
+    src, out = Path(src), Path(out)
+    base = src if src.is_dir() else src.parent
+    items = read_dataset(format_tag, src)
+    for item in items:
+        rel = Path(item.filepath)
+        if rel.is_absolute() or ".." in rel.parts:
+            raise DatasetError(f"{src}: audio path {item.filepath!r} leads out of --out")
+    out.mkdir(parents=True, exist_ok=True)
+
+    def convert(item: DatasetItem) -> DatasetItem:
+        rel = str(Path(item.filepath).with_suffix(".wav"))
+        dst = out / rel
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        duration = convert_audio(_audio_path(base, item.filepath), dst)
+        return DatasetItem(rel, item.text, duration, item.speaker)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        converted = list(pool.map(convert, items))
+    manifest = write_dataset(converted, "manifest-csv", out)
+    sidecar = {"resampler": RESAMPLE_METHOD,
+               "target": f"PCM-16 mono {SAMPLE_RATE} Hz", "items": len(converted)}
+    (out / "conversion.json").write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
+    return manifest, sidecar

@@ -77,21 +77,17 @@ def greedy_decode(logits, alphabet: AlphabetSpec) -> str:
     return "".join(alphabet.symbols[i] for i in labels)
 
 
-def word_error_rate(reference: str, hypothesis: str) -> float:
-    """Word-level Levenshtein distance over reference word count."""
-    ref = reference.split()
-    hyp = hypothesis.split()
-    if not ref:
-        raise ValueError("reference must contain at least one word")
-    prev = list(range(len(hyp) + 1))
-    for i, rw in enumerate(ref, 1):
-        cur = [i] + [0] * len(hyp)
-        for j, hw in enumerate(hyp, 1):
+def word_edits(reference_words, hypothesis_words) -> int:
+    """Word-level Levenshtein distance: the fewest substitutions, deletions
+    and insertions that turn the reference words into the hypothesis
+    words. An empty reference takes one insertion per hypothesis word."""
+    prev = list(range(len(hypothesis_words) + 1))
+    for i, rw in enumerate(reference_words, 1):
+        cur = [i] + [0] * len(hypothesis_words)
+        for j, hw in enumerate(hypothesis_words, 1):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (rw != hw))
         prev = cur
-    return prev[-1] / len(ref)
-
-
+    return prev[-1]
 
 
 def beam_decode(logits, alphabet: AlphabetSpec, params: DecodeParams) -> list[Hypothesis]:

@@ -201,6 +201,28 @@ def test_eval_counts_weighted_errors(capsys, tmp_path):
     assert obj["wer"] == pytest.approx(1 / 6)
 
 
+def test_eval_divides_whole_edit_counts_once(capsys, tmp_path):
+    # 15 + 1 edits over 22 + 3 words; scaling each line's rate back up by
+    # its word count gave 0.6399999999999999
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_text(" ".join(["w"] * 22) + "\na b c\n")
+    hyp.write_text(" ".join(["x"] * 15 + ["w"] * 7) + "\na b z\n")
+    code, out, _ = run_cli(capsys, "--json", "eval", "--ref", str(ref), "--hyp", str(hyp))
+    assert code == 0
+    assert jlines(out) == [{"wer": 0.64, "reference_words": 25}]
+
+
+def test_eval_counts_the_insertions_of_an_empty_reference_line(capsys, tmp_path):
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_text("a b\n\n")
+    hyp.write_text("a b\nx y z\n")
+    code, out, _ = run_cli(capsys, "--json", "eval", "--ref", str(ref), "--hyp", str(hyp))
+    assert code == 0
+    assert jlines(out) == [{"wer": 1.5, "reference_words": 2}]
+
+
 def test_eval_line_count_mismatch(capsys, tmp_path):
     ref = tmp_path / "ref.txt"
     hyp = tmp_path / "hyp.txt"
@@ -849,7 +871,6 @@ def test_adapt_alphabet_cli(capsys, tiny_model_dir, tmp_path):
                            "--out", str(out_dir))
     assert code == 0
     (obj,) = jlines(out)
-    assert obj["mode"] == "extend"
     assert obj["vocab_size"] == 29
     assert obj["new_symbols"] == ["ñ"]
 
@@ -868,10 +889,18 @@ def test_adapt_alphabet_cli(capsys, tiny_model_dir, tmp_path):
                            str(out_dir), "--target", "it", "--out", str(it_dir))
     assert code == 0
     (obj,) = jlines(out)
-    assert obj["mode"] == "shrink"
     assert obj["vocab_size"] == 28
     assert obj["new_symbols"] == []
     assert net.load_weights(it_dir).alphabet == ALPHABETS["it"]
+
+
+def test_adapt_alphabet_reports_sizes_not_a_mode(capsys, tiny_model_dir, tmp_path):
+    # the same alphabet neither extends nor shrinks the head
+    out_dir = tmp_path / "en-model"
+    code, out, _ = run_cli(capsys, "adapt-alphabet", "--model", str(tiny_model_dir),
+                           "--target", "en", "--out", str(out_dir))
+    assert code == 0
+    assert out.strip() == f"vocab 28 -> 28, new symbols [], saved to {out_dir}"
 
 
 def test_adapt_alphabet_unknown_target(capsys, tiny_model_dir, tmp_path):

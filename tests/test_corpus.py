@@ -14,7 +14,7 @@ import corpus_reference
 from scribo import corpus
 from scribo.corpus import (CleaningReport, CorpusStats, DatasetItem,
                            clean_corpus, compute_stats, convert_audio,
-                           corpus_averages, probe_duration,
+                           convert_dataset, corpus_averages, probe_duration,
                            read_dataset, read_manifest, split_dataset,
                            write_dataset)
 from scribo.errors import AudioFormatError, DatasetError, ScriboError
@@ -627,6 +627,16 @@ def test_corpus_convert_writes_nothing_outside_out(tmp_path, filepath):
     assert not (data / "out").exists()
 
 
+def test_convert_dataset_refuses_a_path_out_of_out_before_writing(tmp_path):
+    write_wav(tmp_path / "a.wav", np.zeros(160))
+    tsv = tmp_path / "data" / "validated.tsv"
+    tsv.parent.mkdir()
+    tsv.write_text("path\tsentence\n../a.wav\thi\n")
+    with pytest.raises(DatasetError, match="leads out of --out"):
+        convert_dataset("commonvoice-tsv", tsv, tmp_path / "data" / "out")
+    assert not (tmp_path / "data" / "out").exists()
+
+
 def test_read_manifest_rejects_alien_header(tmp_path):
     f = tmp_path / "m.tsv"
     f.write_text("foo\tbar\n1\t2\n")
@@ -783,6 +793,14 @@ def test_stats_totals():
     assert stats.item_count == 3
     assert stats.total_duration == pytest.approx(6.0)
     assert stats.mean_duration == pytest.approx(2.0)
+
+
+def test_stats_take_the_cleaning_averages():
+    # a zero-length item counts in the mean duration, as clean_corpus counts it
+    items = [item(2.0), item(0.0), item(4.0)]
+    stats = compute_stats(items)
+    assert (stats.mean_chars_per_second, stats.mean_duration) == corpus_averages(items)
+    assert stats.mean_duration == 2.0
 
 
 def test_stats_total_matches_independent_fold():

@@ -1,6 +1,7 @@
 """Source hygiene: the package imports only the standard library and
 numpy, every import in a package module is used, every module-level
-private name is read somewhere in the package, every public function,
+private name is read somewhere in the package and no module reads
+another's private names but the one sanctioned set, every public function,
 class and method is read outside the unit tests, and every name the
 benchmark's traced mode patches exists, the README names every
 dataset format, no module but ``errors.py`` reads a file itself or
@@ -73,6 +74,10 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def module_privates(tree: ast.Module) -> set[str]:
     """Module-level ``_name`` functions, classes and constants."""
     names = set()
@@ -82,7 +87,7 @@ def module_privates(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if _is_private(n)}
 
 
 def names_read(tree: ast.Module) -> set[str]:
@@ -119,6 +124,45 @@ def test_checker_flags_only_the_unread_privates():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def foreign_privates(sources: dict[str, str]) -> list[str]:
+    """``module: other._name`` for each private name that a module reads
+    from another module of the package, by ``from .other import _name`` or
+    as ``alias._name`` after ``from . import other as alias``."""
+    found = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        found += [f"{mod}: {n.module}.{a.name}" for n in imports if n.module
+                  for a in n.names if _is_private(a.name)]
+        aliases = {a.asname or a.name: a.name for n in imports if not n.module
+                   for a in n.names}
+        found += [f"{mod}: {aliases[n.value.id]}.{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in aliases and _is_private(n.attr)]
+    return sorted(found)
+
+
+def test_checker_flags_only_the_foreign_privates():
+    sources = {
+        "a": "from .b import _f, g, __version__\nfrom . import c as cm, d\n"
+             "import numpy as np\ndef _own(): pass\n"
+             "_own(); cm._h(); cm.k(); d._j; np._x; self._y\n",
+        "b": "from .a import own\nown._z\n",
+    }
+    assert foreign_privates(sources) == ["a: b._f", "a: c._h", "a: d._j"]
+
+
+# corpus converts audio with the WAV reader of features (its encoding
+# table, header parser and sample reader), so one module parses WAV files
+SANCTIONED_PRIVATES = {"corpus.py: features._ENCODINGS", "corpus.py: features._open_wav",
+                       "corpus.py: features._read_samples"}
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert set(foreign_privates(sources)) - SANCTIONED_PRIVATES == set()
 
 
 def public_definitions(tree: ast.Module) -> set[str]:
